@@ -41,8 +41,13 @@ pbiovet:
 	@mkdir -p bin
 	$(GO) build -o bin/pbiovet ./cmd/pbiovet
 
+# The benchmark is a nested module (benchmark/go.mod) that root-level
+# `go build ./...` and `go test ./...` never compile; vetting and testing
+# it here is what makes an API break under it visible before the
+# benchmark pipeline runs.
 test: chaos
 	$(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 test-race:
 	$(GO) test -race ./...

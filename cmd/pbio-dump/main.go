@@ -130,10 +130,10 @@ func dumpPlans(in io.Reader, archName string) error {
 		if err != nil {
 			return err
 		}
-		if len(prog.Code()) == 0 {
+		if p.NoOp {
 			fmt.Println("generated code: none (identical layouts, zero-copy receive)")
 		} else {
-			fmt.Printf("generated code (%d instructions):\n%s", len(prog.Code()), dcg.Disassemble(prog.Code()))
+			fmt.Printf("generated code (%d fused ops):\n%s", len(prog.Ops()), dcg.DisassembleBatch(prog.Ops()))
 		}
 		fmt.Println()
 	}
@@ -219,9 +219,9 @@ func printFlight(rec *pbio.Record) bool {
 	fmt.Printf("flight %s %s %s subject=%q trace=%#x arg1=%d arg2=%d",
 		time.Unix(0, ts).UTC().Format("2006-01-02 15:04:05.000000"),
 		node, flightrec.KindName(int32(kind)), subject, uint64(trace), arg1, arg2)
-	if flightrec.Kind(kind) == flightrec.KindDCGBatchCompile {
+	if flightrec.Kind(kind) == flightrec.KindDCGCompile {
 		// arg2 packs the fused shape; decode it so the journal shows
-		// what the batch fusion pass produced.
+		// what the fusion pass produced.
 		runs, words, steps := flightrec.UnpackBatchShape(arg2)
 		fmt.Printf(" (compile=%dns runs=%d fused_words=%d step_fallbacks=%d)",
 			arg1, runs, words, steps)

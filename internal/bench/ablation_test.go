@@ -79,7 +79,7 @@ func BenchmarkAblation_Coalescing(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(natFmt.Size))
-			b.ReportMetric(float64(len(prog.Code())), "instrs")
+			b.ReportMetric(float64(len(prog.Ops())), "ops")
 			for i := 0; i < b.N; i++ {
 				if err := prog.Convert(dst, src); err != nil {
 					b.Fatal(err)
@@ -223,7 +223,7 @@ func BenchmarkAblation_ExtensionPosition(b *testing.B) {
 			// fields every expected offset is unchanged, so the whole
 			// conversion degenerates to an identity no-op.
 			b.SetBytes(int64(natFmt.Size))
-			b.ReportMetric(float64(len(prog.Code())), "instrs")
+			b.ReportMetric(float64(len(prog.Ops())), "ops")
 			for i := 0; i < b.N; i++ {
 				if err := prog.Convert(rec.Buf, rec.Buf); err != nil {
 					b.Fatal(err)

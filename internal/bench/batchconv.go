@@ -10,8 +10,9 @@ import (
 	"repro/internal/wire"
 )
 
-// batchConvSizes are the batch sizes the fused-decode table sweeps; the
-// per-record column is the old dispatch-per-record DCG path.
+// batchConvSizes are the batch sizes the fused-decode table sweeps;
+// batch=1 is one record per call, the per-record dispatch cost the
+// larger batches amortize.
 var batchConvSizes = []int{1, 8, 64, 512}
 
 // batchConvSchema is the ~100-byte record of the batch experiments.
@@ -41,18 +42,18 @@ func batchConvSchema(mixed bool) *wire.Schema {
 
 // BatchConv measures receiver-side conversion in ns/record across the
 // ABI conversion matrix — same-layout (bulk copy), swap-only, and mixed
-// move+swap — for the per-record DCG path and the fused batch path at
-// increasing batch sizes.  Pure conversion cost: no framing, transport
-// or record handoff, so the numbers isolate what batch compilation buys
-// over per-record program dispatch.
+// move+swap — for the compiled program at increasing batch sizes.  Pure
+// conversion cost: no framing, transport or record handoff, so the
+// numbers isolate what sweeping each kernel over a whole batch buys over
+// dispatching the kernel list once per record.
 func BatchConv() *Table {
-	header := []string{"regime", "bytes", "per-record"}
+	header := []string{"regime", "bytes"}
 	for _, n := range batchConvSizes {
 		header = append(header, fmt.Sprintf("batch=%d", n))
 	}
 	t := &Table{
-		Title:  "DCG v2: fused batch conversion, ns/record vs batch size",
-		Note:   "~100 B records; per-record = one Program.Convert dispatch each, batches = one ConvertBatch per run",
+		Title:  "DCG: compiled conversion, ns/record vs batch size",
+		Note:   "~100 B records; one Program.ConvertBatch call per batch, batch=1 is the per-record cost",
 		Header: header,
 	}
 	regimes := []struct {
@@ -76,21 +77,8 @@ func BatchConv() *Table {
 		if err != nil {
 			panic(err)
 		}
-		bp, err := dcg.CompileBatch(plan)
-		if err != nil {
-			panic(err)
-		}
 
-		src := native.New(wf)
-		native.FillDeterministic(src, 1)
-		dst := native.New(nf)
-		per := Measure(func() {
-			if err := prog.Convert(dst.Buf, src.Buf); err != nil {
-				panic(err)
-			}
-		})
-
-		row := []string{rg.name, fmt.Sprint(wf.Size), fmtNanos(float64(per))}
+		row := []string{rg.name, fmt.Sprint(wf.Size)}
 		for _, n := range batchConvSizes {
 			bsrc := make([]byte, n*wf.Size)
 			for i := 0; i < n; i++ {
@@ -100,7 +88,7 @@ func BatchConv() *Table {
 			}
 			bdst := make([]byte, n*nf.Size)
 			d := Measure(func() {
-				if _, err := bp.ConvertBatch(bdst, bsrc); err != nil {
+				if _, err := prog.ConvertBatch(bdst, bsrc); err != nil {
 					panic(err)
 				}
 			})

@@ -4,272 +4,174 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-
-	"repro/internal/convert"
 )
 
-// batchKernel executes one batch run op over all n records of a batch.
-// dst and src are whole batch buffers; record strides and intra-record
+// kernel executes one batch run op over all n records of a batch.  dst
+// and src are whole batch buffers; record strides and intra-record
 // offsets are baked into the closure.
-type batchKernel func(dst, src []byte, n int)
+type kernel func(dst, src []byte, n int)
 
-// BatchProgram is a compiled conversion routine for runs of contiguous
-// fixed-stride records — the fused counterpart of Program.  Where a
-// Program re-dispatches its whole step list per record, a BatchProgram
-// runs each op over the entire batch before moving to the next: plan
-// lookup, program fetch and bounds checks happen once per batch, and
-// byte-swap runs execute word-at-a-time (bits.ReverseBytes64 on one or
-// more elements per load) instead of element-at-a-time.
-//
-// A BatchProgram is immutable and safe for concurrent use.  dst and src
-// must not overlap.
-type BatchProgram struct {
-	plan    *convert.Plan
-	ops     []BatchOp // fused batch instruction stream (for inspection)
-	kernels []batchKernel
+// shufAvailable reports whether shuffle ops (BShuf) can run on this
+// machine.  Without the SIMD shuffle unit the word-wide kernels are
+// faster than emulating a byte permutation, so none are built.
+func shufAvailable() bool { return useSwapAsm }
 
-	srcStride int // wire record size
-	dstStride int // native record size
-	bulk      bool
+// shufMaxRun is the longest in-place swap or move run, in bytes, that is
+// folded into a shuffle region.  A longer run gains nothing from
+// per-record masks — swapBlock and copy already move 16 bytes per
+// instruction with no table — and keeping it out bounds every mask
+// table, and with it compile time, by the number of ops rather than the
+// record size.
+const shufMaxRun = 8 * 16
 
-	steps int // ops executed via per-record steps (BStep)
-	words int // 64-bit word operations per record across all BSwapWide ops
-}
-
-// CompileBatch plans, emits, optimizes, fuses and lowers a batch
-// conversion program for the given plan.  The per-record stream is
-// optimized first (field→run coalescing), then FuseBatch widens swap
-// runs into word-wide loops; the move-only case compiles to a single
-// whole-batch copy.
-func CompileBatch(p *convert.Plan) (*BatchProgram, error) {
-	bp := &BatchProgram{
-		plan:      p,
-		srcStride: p.Wire.Size,
-		dstStride: p.Native.Size,
+// shufCandidate reports whether the permutation can express in, and how
+// many bytes it covers: a short in-place move or swap, starting in
+// [lo, hi), whose elements each sit inside one 16-byte block (so every
+// lane references a source byte PSHUFB can reach).
+func shufCandidate(in *Instr, lo, hi int) (ln int, ok bool) {
+	if in.Dst != in.Src || in.Dst < lo || in.Dst >= hi {
+		return 0, false
 	}
-	if p.NoOp {
-		bp.bulk = true
-		bp.ops = []BatchOp{{Kind: BBulkCopy}}
-		return bp, nil
-	}
-	code, err := Emit(p)
-	if err != nil {
-		return nil, err
-	}
-	opt := Optimize(code)
-	if masks, rest := buildRecordShuffle(opt, bp.dstStride, bp.srcStride); masks != nil {
-		bp.ops = append(bp.ops, BatchOp{Kind: BShuf, Masks: masks})
-		opt = rest
-	}
-	bp.ops = append(bp.ops, FuseBatch(opt)...)
-	bp.kernels = make([]batchKernel, 0, len(bp.ops))
-	for _, op := range bp.ops {
-		k, err := lowerBatch(op, bp.dstStride, bp.srcStride)
-		if err != nil {
-			return nil, err
-		}
-		bp.kernels = append(bp.kernels, k)
-		switch op.Kind {
-		case BStep:
-			bp.steps++
-		case BSwapWide:
-			bp.words += op.Words
-		case BShuf:
-			bp.words += len(op.Masks) / 8
-		}
-	}
-	return bp, nil
-}
-
-// buildRecordShuffle tries to compile the leading bytes of every record
-// into one whole-record byte-permutation program: a 16-byte PSHUFB
-// control mask per block, where in-place swaps become reversal lanes,
-// in-place moves identity lanes, and zero-fills (plus padding no
-// instruction covers) zero lanes.  One shuffle instruction then converts
-// 16 bytes regardless of how many fields or ops the block spans — no
-// per-op dispatch, no element loop, no scalar tail inside the region.
-// Ops the permutation cannot express — shifted moves from resize plans,
-// integer/float converts, nested calls, anything extending past the last
-// full block — come back in rest and lower through the regular kernels,
-// which run after the shuffle and overwrite its zero lanes.
-//
-// Zero lanes write zeros to padding the per-record program leaves
-// untouched; the two paths still agree byte-for-byte on a zeroed
-// destination, which is what the decode paths hand over (RecordBatch
-// buffers start zeroed and every decode rewrites the same region).
-func buildRecordShuffle(code []Instr, ds, ss int) (masks []byte, rest []Instr) {
-	if !shufAvailable() {
-		return nil, code
-	}
-	r := ds
-	if ss < r {
-		r = ss
-	}
-	r &^= 15
-	if r < 16 {
-		return nil, code
-	}
-	masks = make([]byte, r)
-	for i := range masks {
-		masks[i] = shufZeroLane
-	}
-	covered := 0
-	for _, in := range code {
-		sub, tail, hasTail := subsumeShuffle(masks, in, r)
-		covered += sub
-		if sub == 0 {
-			rest = append(rest, in)
-		} else if hasTail {
-			rest = append(rest, tail)
-		}
-	}
-	// A shuffle pass only pays for itself when it retires most of the
-	// region; convert- or step-dominated plans keep the kernel forms.
-	if covered*2 < r {
-		return nil, code
-	}
-	return masks, rest
-}
-
-// shufZeroLane is the PSHUFB control byte whose high bit writes a zero
-// into the destination lane.
-const shufZeroLane = 0x80
-
-// subsumeShuffle folds one instruction into the permutation masks and
-// returns the destination bytes it covered.  An op extending past the
-// shuffled region is split: the part below r becomes lanes, the tail
-// comes back as a residual instruction for the regular kernels.  Ops
-// the permutation cannot express at all — moves between offsets (Dst
-// != Src, so a lane would need to reach outside its block), converts,
-// calls — cover 0 bytes and stay whole.
-func subsumeShuffle(masks []byte, in Instr, r int) (covered int, tail Instr, hasTail bool) {
-	switch in.Op {
+	switch w := in.Width; in.Op {
 	case IMovBlk:
-		if in.Dst != in.Src || in.Dst >= r {
-			return 0, tail, false
+		return in.Len, in.Len <= shufMaxRun
+	case ISwap:
+		return in.Count * w, (w == 2 || w == 4 || w == 8) && in.Dst%w == 0 && in.Count*w <= shufMaxRun
+	}
+	return 0, false
+}
+
+// buildShuffles folds every cluster of short in-place ops into one
+// byte-permutation op: a PSHUFB control mask per 16-byte block, where
+// swaps become reversal lanes and everything else — in-place moves,
+// padding, bytes other ops own — identity lanes.  One shuffle instruction
+// then converts 16 bytes regardless of how many fields the block spans:
+// no per-op dispatch, no element loop.  A cluster takes in candidates as
+// the plan lists them for as long as they cover at least half of the
+// blocks it spans (a shuffle pass only pays for itself when it retires
+// most of its region), and must hold at least two of them, one a swap: a
+// lone run is served as well by its own kernel, and move-only programs
+// keep the copy form.  Ops the permutation cannot express — shifted
+// moves from resize plans, converts, zero-fills, nested calls, long
+// runs, anything past the last full block below size — come back in
+// rest.
+//
+// Regions ascend and are disjoint: only ops at or above the end of the
+// last region built (floor) are candidates, whatever order the plan
+// lists them in, so no byte is shuffled twice and an op below floor
+// simply keeps its own kernel.
+//
+// Shuffles run before rest, which is what makes one kernel list serve
+// both separate and aliased buffers.  Subsumed ops have Dst == Src and
+// the source ranges of distinct ops are disjoint, so in place a shuffle
+// rewrites only bytes its own ops own, and doing that ahead of plan
+// order cannot disturb the source of any other op; separately, its
+// identity lanes put source bytes where later ops or padding live, and
+// the ops in rest overwrite the former.  IZero is never subsumed: in
+// place, zeroing ahead of plan order could destroy a source that an
+// earlier op has yet to read.
+func buildShuffles(code []Instr, size int) (shufs []BatchOp, rest []Instr) {
+	limit := size &^ 15
+	if !shufAvailable() || limit == 0 {
+		return nil, code
+	}
+	floor := 0
+	for i := 0; i < len(code); {
+		// The cluster is code[i:j], its region the blocks [off, end).  It
+		// starts at a candidate and ends before the first one that would
+		// leave more than half of the region uncovered.
+		j, off, end, covered, members, swaps := i, limit, floor, 0, 0, 0
+		for ; j < len(code); j++ {
+			in := &code[j]
+			ln, ok := shufCandidate(in, floor, limit)
+			if !ok {
+				if members == 0 {
+					break
+				}
+				continue
+			}
+			o, e := min(off, in.Dst&^15), max(end, (in.Dst+ln+15)&^15)
+			if members > 0 && 2*(covered+ln) < e-o {
+				break
+			}
+			off, end, covered, members = o, e, covered+ln, members+1
+			if in.Op == ISwap {
+				swaps++
+			}
 		}
-		fit := in.Len
-		if in.Dst+fit > r {
-			fit = r - in.Dst
-			tail = Instr{Op: IMovBlk, Dst: in.Dst + fit, Src: in.Src + fit, Len: in.Len - fit}
-			hasTail = true
+		if members < 2 || swaps == 0 {
+			j = max(j, i+1)
+			if shufs != nil {
+				rest = append(rest, code[i:j]...)
+			}
+			i = j
+			continue
 		}
-		for b := in.Dst; b < in.Dst+fit; b++ {
+		if shufs == nil {
+			// Most programs have no cluster and return code itself; the
+			// first shuffle pays for the copy of what precedes it.
+			rest = append(make([]Instr, 0, len(code)), code[:i]...)
+		}
+		end = min(end, limit)
+		masks := make([]byte, end-off)
+		for b := range masks {
 			masks[b] = byte(b & 15)
 		}
-		return fit, tail, hasTail
-	case IZero:
-		if in.Dst >= r {
-			return 0, tail, false
-		}
-		fit := in.Len
-		if in.Dst+fit > r {
-			fit = r - in.Dst
-			tail = Instr{Op: IZero, Dst: in.Dst + fit, Len: in.Len - fit}
-			hasTail = true
-		}
-		return fit, tail, hasTail // already zero lanes
-	case ISwap:
-		w := in.Width
-		if in.Dst != in.Src || in.Dst >= r {
-			return 0, tail, false
-		}
-		if w == 1 {
-			mv := Instr{Op: IMovBlk, Dst: in.Dst, Src: in.Src, Len: in.Count}
-			return subsumeShuffle(masks, mv, r)
-		}
-		fit := in.Count
-		if in.Dst+fit*w > r {
-			fit = (r - in.Dst) / w
-			if fit == 0 {
-				return 0, tail, false
+		for _, in := range code[i:j] {
+			if _, ok := shufCandidate(&in, floor, limit); !ok {
+				rest = append(rest, in)
+				continue
 			}
-			tail = Instr{Op: ISwap, Dst: in.Dst + fit*w, Src: in.Src + fit*w,
-				Count: in.Count - fit, Width: w}
-			hasTail = true
-		}
-		// Every element must sit inside one 16-byte block for its lanes
-		// to reference source bytes PSHUFB can reach.  Natural alignment
-		// guarantees this for widths 2/4/8; check before writing lanes.
-		for e := 0; e < fit; e++ {
-			if base := in.Dst + e*w; base%16+w > 16 {
-				return 0, tail, false
+			w, cnt := 1, in.Len
+			if in.Op == ISwap {
+				w, cnt = in.Width, in.Count
+			}
+			// The part below end becomes lanes; the tail of an op cut by
+			// the record's last full block stays a regular instruction.
+			fit := min(cnt, (end-in.Dst)/w)
+			for e := 0; e < fit; e++ {
+				base := in.Dst + e*w - off
+				for b := 0; b < w; b++ {
+					masks[base+b] = byte((base + w - 1 - b) & 15)
+				}
+			}
+			if fit < cnt {
+				in.Dst, in.Src = in.Dst+fit*w, in.Src+fit*w
+				if in.Op == ISwap {
+					in.Count -= fit
+				} else {
+					in.Len -= fit
+				}
+				rest = append(rest, in)
 			}
 		}
-		for e := 0; e < fit; e++ {
-			base := in.Dst + e*w
-			for b := 0; b < w; b++ {
-				masks[base+b] = byte((base + w - 1 - b) & 15)
-			}
-		}
-		return fit * w, tail, hasTail
+		shufs = append(shufs, BatchOp{Kind: BShuf, In: Instr{Op: IMovBlk, Dst: off, Src: off, Len: len(masks)}, Masks: masks})
+		i, floor = j, end
 	}
-	return 0, tail, false
-}
-
-// Plan returns the plan the program was compiled from.
-func (p *BatchProgram) Plan() *convert.Plan { return p.plan }
-
-// Ops returns the fused batch instruction stream (for tests, dumps and
-// flight-journal stats).
-func (p *BatchProgram) Ops() []BatchOp { return p.ops }
-
-// SrcStride returns the wire-record stride in bytes.
-func (p *BatchProgram) SrcStride() int { return p.srcStride }
-
-// DstStride returns the native-record stride in bytes.
-func (p *BatchProgram) DstStride() int { return p.dstStride }
-
-// Stats summarizes the compiled shape for telemetry: the number of batch
-// run ops, the 64-bit word operations per record fused out of swap runs,
-// and the ops that fell back to per-record steps (converts, nested
-// subroutine calls).
-func (p *BatchProgram) Stats() (runs, fusedWords, stepFallbacks int) {
-	return len(p.ops), p.words, p.steps
-}
-
-// ConvertBatch converts every record of a contiguous fixed-stride batch:
-// src holds n wire records back to back, dst receives n native records
-// back to back.  n is derived from len(src), which must be a positive
-// multiple of the wire record size — trailing partial input is rejected,
-// matching the transport's batch-frame validation.  dst and src must not
-// overlap.  It returns the number of records converted.
-//
-//pbio:hotpath noalloc=0 batch decode path; pinned by pbio/alloc_test.go TestAllocsBatchDecode
-func (p *BatchProgram) ConvertBatch(dst, src []byte) (int, error) {
-	ss, ds := p.srcStride, p.dstStride
-	if len(src) == 0 || len(src)%ss != 0 {
-		return 0, fmt.Errorf("dcg: batch source %d bytes is not a positive multiple of wire record size %d", len(src), ss)
+	if shufs == nil {
+		return nil, code
 	}
-	n := len(src) / ss
-	if len(dst) < n*ds {
-		return 0, fmt.Errorf("dcg: batch destination %d bytes, %d records of %d bytes need %d", len(dst), n, ds, n*ds)
-	}
-	if p.bulk {
-		copy(dst[:n*ds], src[:n*ss])
-		return n, nil
-	}
-	for _, k := range p.kernels {
-		k(dst, src, n)
-	}
-	return n, nil
+	return shufs, rest
 }
 
 // lowerBatch compiles one batch run op into a kernel specialized with the
 // record strides and intra-record offsets.
-func lowerBatch(op BatchOp, ds, ss int) (batchKernel, error) {
-	in := op.In
+func lowerBatch(op *BatchOp, ds, ss int) (kernel, error) {
+	in := &op.In
 	switch op.Kind {
-	case BBulkCopy:
-		return func(dst, src []byte, n int) {
-			copy(dst[:n*ds], src[:n*ss])
-		}, nil
-
 	case BMove:
-		d, s, ln := in.Dst, in.Src, in.Len
+		// An identity move is a no-op whenever the conversion runs in
+		// place (PBIO's receive-buffer reuse).  This is what makes the
+		// paper's §4.4 advice — append new fields at the END of evolving
+		// formats — nearly free for old receivers: every expected field
+		// stays at its offset.
+		d, s, ln, identity := in.Dst, in.Src, in.Len, in.Dst == in.Src
 		return func(dst, src []byte, n int) {
-			for do, so := 0, 0; n > 0; n, do, so = n-1, do+ds, so+ss {
-				copy(dst[do+d:do+d+ln], src[so+s:so+s+ln])
+			if identity && &dst[0] == &src[0] {
+				return
+			}
+			for do, so := d, s; n > 0; n, do, so = n-1, do+ds, so+ss {
+				copy(dst[do:do+ln], src[so:so+ln])
 			}
 		}, nil
 
@@ -307,18 +209,19 @@ func lowerBatch(op BatchOp, ds, ss int) (batchKernel, error) {
 	return nil, fmt.Errorf("dcg: cannot lower batch op %v", op.Kind)
 }
 
-// lowerBatchShuf compiles a whole-record shuffle: one PSHUFB per
-// 16-byte block per record, control masks shared by every record of the
-// batch.  This is the branchless limit of the batch engine — the only
-// per-record control flow is the block count.
-func lowerBatchShuf(op BatchOp, ds, ss int) (batchKernel, error) {
-	masks := op.Masks
-	if len(masks) == 0 || len(masks)%16 != 0 || len(masks) > ds || len(masks) > ss {
-		return nil, fmt.Errorf("dcg: shuffle masks %d bytes for strides %d/%d", len(masks), ds, ss)
+// lowerBatchShuf compiles a shuffle region: one PSHUFB per 16-byte
+// block per record, control masks shared by every record of the batch.
+// This is the branchless limit of the engine — the only per-record
+// control flow is the block count.  Each block is loaded whole before it
+// is stored, so dst and src may be the same buffer.
+func lowerBatchShuf(op *BatchOp, ds, ss int) (kernel, error) {
+	masks, off := op.Masks, op.In.Dst
+	if len(masks) == 0 || len(masks)%16 != 0 || off < 0 || off+len(masks) > min(ds, ss) {
+		return nil, fmt.Errorf("dcg: shuffle masks %d bytes at +%d for strides %d/%d", len(masks), off, ds, ss)
 	}
 	m, ln, nblk := &masks[0], len(masks), len(masks)/16
 	return func(dst, src []byte, n int) {
-		for do, so := 0, 0; n > 0; n, do, so = n-1, do+ds, so+ss {
+		for do, so := off, off; n > 0; n, do, so = n-1, do+ds, so+ss {
 			db, sb := dst[do:do+ln], src[so:so+ln]
 			shufBlocks(&db[0], &sb[0], m, nblk)
 		}
@@ -328,7 +231,7 @@ func lowerBatchShuf(op BatchOp, ds, ss int) (batchKernel, error) {
 // lowerBatchSwap is the residual element-at-a-time swap for runs too
 // short to fill a 64-bit word (at most one width-4 or three width-2
 // elements, or FuseBatch would have widened them).
-func lowerBatchSwap(in Instr, ds, ss int) (batchKernel, error) {
+func lowerBatchSwap(in *Instr, ds, ss int) (kernel, error) {
 	d, s, cnt := in.Dst, in.Src, in.Count
 	switch in.Width {
 	case 2:
@@ -367,7 +270,7 @@ const swap2Mask = 0x00ff00ff00ff00ff
 // + byte-reversal + LittleEndian store composition is
 // direction-agnostic: reversing the bytes of each element converts
 // big-endian wire data to a little-endian native layout and vice versa.
-func lowerBatchSwapWide(op BatchOp, ds, ss int) (batchKernel, error) {
+func lowerBatchSwapWide(op *BatchOp, ds, ss int) (kernel, error) {
 	d, s := op.In.Dst, op.In.Src
 	words, rem := op.Words, op.Rem
 	switch op.In.Width {

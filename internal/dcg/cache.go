@@ -17,7 +17,6 @@ import (
 type Cache struct {
 	mu    sync.RWMutex
 	progs map[cacheKey]*Program
-	batch map[cacheKey]*BatchProgram
 
 	// met and conv, when non-nil, account cache traffic, codegen latency
 	// and plan builds.  Set once before use (SetMetrics).
@@ -34,11 +33,10 @@ type Cache struct {
 // dependency is this small interface so dcg stays a leaf compiler
 // package; *flightrec.Recorder satisfies it.
 type FlightSink interface {
-	DCGCompile(format string, nanos int64)
-	// DCGBatchCompile journals one batch-program compilation: the fused
-	// shape (run-op count, word-wide swap ops per record) packed with the
-	// per-record step fallbacks, plus the compile latency.
-	DCGBatchCompile(format string, runs, fusedWords, stepFallbacks, nanos int64)
+	// DCGCompile journals one compilation: the fused shape (run-op
+	// count, word-wide swap ops per record, per-record step fallbacks)
+	// plus the compile latency.
+	DCGCompile(format string, runs, fusedWords, stepFallbacks, nanos int64)
 }
 
 // SetMetrics attaches telemetry for cache hits/misses and compile
@@ -59,10 +57,7 @@ type cacheKey struct {
 
 // NewCache returns an empty program cache.
 func NewCache() *Cache {
-	return &Cache{
-		progs: make(map[cacheKey]*Program),
-		batch: make(map[cacheKey]*BatchProgram),
-	}
+	return &Cache{progs: make(map[cacheKey]*Program)}
 }
 
 // Get returns a compiled program converting wireFmt records into expected
@@ -99,7 +94,8 @@ func (c *Cache) Get(wireFmt, expected *wire.Format) (*Program, error) {
 			c.met.CompileNanos.Observe(nanos)
 		}
 		if c.flight != nil {
-			c.flight.DCGCompile(wireFmt.Name, nanos)
+			runs, words, steps := prog.Stats()
+			c.flight.DCGCompile(wireFmt.Name, int64(runs), int64(words), int64(steps), nanos)
 		}
 	}
 	c.mu.Lock()
@@ -114,60 +110,9 @@ func (c *Cache) Get(wireFmt, expected *wire.Format) (*Program, error) {
 	return prog, nil
 }
 
-// GetBatch returns a compiled batch program converting contiguous runs
-// of wireFmt records into expected records, compiling it on first use.
-// Batch programs are cached alongside the per-record ones under the same
-// layout-pair key, so a receiver that mixes per-record and batched
-// decode pays each compilation once.
-func (c *Cache) GetBatch(wireFmt, expected *wire.Format) (*BatchProgram, error) {
-	key := cacheKey{wireFmt.Fingerprint(), expected.Fingerprint()}
-	c.mu.RLock()
-	bp := c.batch[key]
-	c.mu.RUnlock()
-	if bp != nil {
-		if c.met != nil {
-			c.met.BatchCacheHits.Inc()
-		}
-		return bp, nil
-	}
-	if c.met != nil {
-		c.met.BatchCacheMisses.Inc()
-	}
-	plan, err := convert.NewPlanTimed(wireFmt, expected, c.conv)
-	if err != nil {
-		return nil, err
-	}
-	var start time.Time
-	if c.met != nil || c.flight != nil {
-		start = time.Now()
-	}
-	bp, err = CompileBatch(plan)
-	if err != nil {
-		return nil, err
-	}
-	if !start.IsZero() {
-		nanos := time.Since(start).Nanoseconds()
-		if c.met != nil {
-			c.met.BatchCompileNanos.Observe(nanos)
-		}
-		if c.flight != nil {
-			runs, words, steps := bp.Stats()
-			c.flight.DCGBatchCompile(wireFmt.Name, int64(runs), int64(words), int64(steps), nanos)
-		}
-	}
-	c.mu.Lock()
-	if existing, ok := c.batch[key]; ok {
-		bp = existing
-	} else {
-		c.batch[key] = bp
-	}
-	c.mu.Unlock()
-	return bp, nil
-}
-
-// Len returns the number of cached programs (per-record and batch).
+// Len returns the number of cached programs.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.progs) + len(c.batch)
+	return len(c.progs)
 }

@@ -8,35 +8,49 @@ import (
 	"repro/internal/convert"
 )
 
-// step is one compiled conversion step.  dst and src are whole record
-// buffers; all offsets are baked into the closure.
-type step func(dst, src []byte)
-
 // Program is a compiled conversion routine: the run-time-generated
-// counterpart of the interpreted converter.  A Program is immutable and
-// safe for concurrent use.
+// counterpart of the interpreted converter.  It is one list of kernels,
+// each sweeping one fused op over all n records of a contiguous
+// fixed-stride batch, so plan lookup, program fetch and bounds checks
+// happen once per call and byte-swap runs execute word- or block-at-a-
+// time; a single record (Convert) is the n=1 case of the same list.  A
+// Program is immutable and safe for concurrent use.
 type Program struct {
-	plan  *convert.Plan
-	code  []Instr // optimized instruction stream (for inspection)
-	steps []step
-	noop  bool
+	plan    *convert.Plan
+	ops     []BatchOp // fused instruction stream (for inspection)
+	kernels []kernel
+
+	srcStride int  // wire record size
+	dstStride int  // native record size
+	bulk      bool // layout-identical: the whole batch is one copy, no kernels
 }
 
-// Compile plans, emits, optimizes and lowers a conversion program for the
-// given plan.  This is the "one-time cost of generating binary code" the
-// paper amortizes across records.
+// BatchProgram and CompileBatch are the names benchmark/probes.go still
+// imports; remove them with the next benchmark PR.
+type BatchProgram = Program
+
+func CompileBatch(p *convert.Plan) (*BatchProgram, error) { return Compile(p) }
+
+// Compile plans, emits, optimizes, fuses and lowers a conversion program
+// for the given plan.  This is the "one-time cost of generating binary
+// code" the paper amortizes across records.
 func Compile(p *convert.Plan) (*Program, error) {
 	return compile(p, true)
 }
 
-// CompileUnoptimized lowers the raw instruction stream without the
-// peephole pass.  It exists for the coalescing ablation benchmark; use
-// Compile everywhere else.
+// CompileUnoptimized is Compile without the peephole pass.  It exists
+// for the coalescing ablation benchmark; use Compile everywhere else.
 func CompileUnoptimized(p *convert.Plan) (*Program, error) {
 	return compile(p, false)
 }
 
 func compile(p *convert.Plan, optimize bool) (*Program, error) {
+	prog := &Program{plan: p, srcStride: p.Wire.Size, dstStride: p.Native.Size}
+	if p.NoOp {
+		prog.bulk = true
+		prog.ops = []BatchOp{{Kind: BBulkCopy}}
+		return prog, nil
+	}
 	code, err := Emit(p)
 	if err != nil {
 		return nil, err
@@ -44,150 +58,137 @@ func compile(p *convert.Plan, optimize bool) (*Program, error) {
 	if optimize {
 		code = Optimize(code)
 	}
-	prog := &Program{plan: p, code: code, noop: p.NoOp}
-	prog.steps = make([]step, 0, len(code))
-	for _, in := range code {
-		s, err := lower(in)
+	prog.ops = FuseBatch(code, min(prog.dstStride, prog.srcStride))
+	if prog.kernels, err = lowerAll(prog.ops, prog.dstStride, prog.srcStride); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// lowerAll lowers a fused op list for the given record strides.
+func lowerAll(ops []BatchOp, ds, ss int) ([]kernel, error) {
+	kernels := make([]kernel, 0, len(ops))
+	for i := range ops {
+		k, err := lowerBatch(&ops[i], ds, ss)
 		if err != nil {
 			return nil, err
 		}
-		prog.steps = append(prog.steps, s)
+		kernels = append(kernels, k)
 	}
-	return prog, nil
+	return kernels, nil
 }
 
 // Plan returns the plan the program was compiled from.
 func (p *Program) Plan() *convert.Plan { return p.plan }
 
-// Code returns the optimized instruction stream (for tests, dumps and the
-// ablation benchmarks).
-func (p *Program) Code() []Instr { return p.code }
+// Ops returns the fused instruction stream that executes (for tests,
+// dumps and the ablation benchmarks).
+func (p *Program) Ops() []BatchOp { return p.ops }
 
-// Convert runs the compiled routine: one wire record in src is converted
-// into the receiver's native layout in dst.  dst and src may alias only
-// when the plan is in-place safe.
+// Stats summarizes the compiled shape for telemetry: the number of batch
+// run ops, the 64-bit word operations per record fused out of swap runs,
+// and the ops that fell back to per-record steps (converts, nested
+// subroutine calls).
+func (p *Program) Stats() (runs, fusedWords, stepFallbacks int) {
+	for i := range p.ops {
+		switch op := &p.ops[i]; op.Kind {
+		case BStep:
+			stepFallbacks++
+		case BSwapWide:
+			fusedWords += op.Words
+		case BShuf:
+			fusedWords += len(op.Masks) / 8
+		}
+	}
+	return len(p.ops), fusedWords, stepFallbacks
+}
+
+// Convert runs the compiled routine on one record: the wire record in
+// src is converted into the receiver's native layout in dst.  dst and
+// src may be the same buffer only when the plan is in-place safe.
 //
 //pbio:hotpath noalloc=0 per-record decode; pinned by pbio/alloc_test.go TestAllocsDCGDecode
 func (p *Program) Convert(dst, src []byte) error {
-	if len(src) < p.plan.Wire.Size {
-		return fmt.Errorf("dcg: source %d bytes, wire format needs %d", len(src), p.plan.Wire.Size)
+	if len(src) < p.srcStride {
+		return fmt.Errorf("dcg: source %d bytes, wire format needs %d", len(src), p.srcStride)
 	}
-	if len(dst) < p.plan.Native.Size {
-		return fmt.Errorf("dcg: destination %d bytes, native format needs %d", len(dst), p.plan.Native.Size)
+	if len(dst) < p.dstStride {
+		return fmt.Errorf("dcg: destination %d bytes, native format needs %d", len(dst), p.dstStride)
 	}
-	if p.noop {
-		if &dst[0] != &src[0] {
-			copy(dst[:p.plan.Native.Size], src[:p.plan.Wire.Size])
-		}
-		return nil
-	}
-	for _, s := range p.steps {
-		s(dst, src)
-	}
+	p.run(dst, src, 1)
 	return nil
 }
 
-// lower compiles one instruction into a specialized closure.
-func lower(in Instr) (step, error) {
-	switch in.Op {
-	case IMovBlk:
-		d, s, n := in.Dst, in.Src, in.Len
-		if d == s {
-			// Identity move: a no-op whenever the conversion runs in
-			// place (PBIO's receive-buffer reuse).  This is what makes
-			// the paper's §4.4 advice — append new fields at the END of
-			// evolving formats — nearly free for old receivers: every
-			// expected field stays at its offset.
-			return func(dst, src []byte) {
-				if &dst[0] == &src[0] {
-					return
-				}
-				copy(dst[d:d+n], src[s:s+n])
-			}, nil
+// ConvertBatch converts every record of a contiguous fixed-stride batch:
+// src holds n wire records back to back, dst receives n native records
+// back to back.  n is derived from len(src), which must be a positive
+// multiple of the wire record size — trailing partial input is rejected,
+// matching the transport's batch-frame validation.  dst and src must not
+// overlap.  It returns the number of records converted.
+//
+//pbio:hotpath noalloc=0 batch decode path; pinned by pbio/alloc_test.go TestAllocsBatchDecode
+func (p *Program) ConvertBatch(dst, src []byte) (int, error) {
+	ss, ds := p.srcStride, p.dstStride
+	if len(src) == 0 || len(src)%ss != 0 {
+		return 0, fmt.Errorf("dcg: batch source %d bytes is not a positive multiple of wire record size %d", len(src), ss)
+	}
+	n := len(src) / ss
+	if len(dst) < n*ds {
+		return 0, fmt.Errorf("dcg: batch destination %d bytes, %d records of %d bytes need %d", len(dst), n, ds, n*ds)
+	}
+	p.run(dst, src, n)
+	return n, nil
+}
+
+// run sweeps the kernels over n size-checked records.  Layout-identical
+// records need none: nothing to do in place (the receive buffer already
+// is the native record), one copy otherwise.
+func (p *Program) run(dst, src []byte, n int) {
+	if p.bulk {
+		if &dst[0] != &src[0] {
+			copy(dst[:n*p.dstStride], src[:n*p.srcStride])
 		}
-		return func(dst, src []byte) {
-			copy(dst[d:d+n], src[s:s+n])
-		}, nil
+		return
+	}
+	for _, k := range p.kernels {
+		k(dst, src, n)
+	}
+}
 
-	case ISwap:
-		return lowerSwap(in)
+// step is one per-record compiled conversion step — what a BStep kernel
+// runs once per record.  dst and src are whole record buffers; all
+// offsets are baked into the closure.
+type step func(dst, src []byte)
 
+// lower compiles one instruction that has no batch run form — an
+// integer or float convert, or a nested-structure call — into a
+// specialized per-record closure.
+func lower(in *Instr) (step, error) {
+	switch in.Op {
 	case ICvtInt:
 		return lowerCvtInt(in)
 
 	case ICvtFloat:
 		return lowerCvtFloat(in)
 
-	case IZero:
-		d, n := in.Dst, in.Len
-		return func(dst, src []byte) {
-			b := dst[d : d+n]
-			for i := range b {
-				b[i] = 0
-			}
-		}, nil
-
 	case ICall:
-		// Compile the subroutine body once; the loop re-bases the
-		// buffers per element and runs the compiled steps.
-		sub := make([]step, 0, len(in.Sub))
-		for _, si := range in.Sub {
-			s, err := lower(si)
-			if err != nil {
-				return nil, err
-			}
-			sub = append(sub, s)
+		// A counted call is a batch of its own: Count elements at the
+		// element strides.  Compile the body once through the same
+		// fusion and kernels as a top-level program; the step re-bases
+		// the buffers and sweeps each kernel over the elements.
+		kernels, err := lowerAll(FuseBatch(in.Sub, min(in.DstW, in.SrcW)), in.DstW, in.SrcW)
+		if err != nil {
+			return nil, err
 		}
 		d, s, n := in.Dst, in.Src, in.Count
-		ds, ss := in.DstW, in.SrcW
 		return func(dst, src []byte) {
-			for e := 0; e < n; e++ {
-				db := dst[d+e*ds : d+(e+1)*ds]
-				sb := src[s+e*ss : s+(e+1)*ss]
-				for _, st := range sub {
-					st(db, sb)
-				}
+			db, sb := dst[d:], src[s:]
+			for _, k := range kernels {
+				k(db, sb, n)
 			}
 		}, nil
 	}
 	return nil, fmt.Errorf("dcg: cannot lower %v", in.Op)
-}
-
-// lowerSwap produces a fixed-width byte-reversing copy loop.  The
-// binary.BigEndian/LittleEndian calls are compiler intrinsics, so each
-// element is a single load, byte-swap and store — the same code a native
-// code generator would emit.
-func lowerSwap(in Instr) (step, error) {
-	d, s, n := in.Dst, in.Src, in.Count
-	switch in.Width {
-	case 2:
-		return func(dst, src []byte) {
-			for i := 0; i < n; i++ {
-				v := binary.BigEndian.Uint16(src[s+2*i:])
-				binary.LittleEndian.PutUint16(dst[d+2*i:], v)
-			}
-		}, nil
-	case 4:
-		return func(dst, src []byte) {
-			for i := 0; i < n; i++ {
-				v := binary.BigEndian.Uint32(src[s+4*i:])
-				binary.LittleEndian.PutUint32(dst[d+4*i:], v)
-			}
-		}, nil
-	case 8:
-		return func(dst, src []byte) {
-			for i := 0; i < n; i++ {
-				v := binary.BigEndian.Uint64(src[s+8*i:])
-				binary.LittleEndian.PutUint64(dst[d+8*i:], v)
-			}
-		}, nil
-	case 1:
-		// Width-1 swap degenerates to a copy.
-		return func(dst, src []byte) {
-			copy(dst[d:d+n], src[s:s+n])
-		}, nil
-	}
-	return nil, fmt.Errorf("dcg: swap width %d", in.Width)
 }
 
 // load and store function types used by the generic convert fallbacks.
@@ -248,7 +249,7 @@ func storer(width int, big bool) (storeFn, error) {
 // ILP32↔LP64 cases (4↔8) are emitted as fully specialized loops; other
 // width pairs fall back to a load/store composition chosen once at
 // compile time.
-func lowerCvtInt(in Instr) (step, error) {
+func lowerCvtInt(in *Instr) (step, error) {
 	d, s, n := in.Dst, in.Src, in.Count
 	sw, dw := in.SrcW, in.DstW
 
@@ -300,7 +301,7 @@ func lowerCvtInt(in Instr) (step, error) {
 }
 
 // lowerCvtFloat produces a float width conversion loop (4 ↔ 8 bytes).
-func lowerCvtFloat(in Instr) (step, error) {
+func lowerCvtFloat(in *Instr) (step, error) {
 	d, s, n := in.Dst, in.Src, in.Count
 	switch {
 	case in.SrcW == 4 && in.DstW == 8:

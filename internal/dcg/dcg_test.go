@@ -28,7 +28,20 @@ func mixedSchema() *wire.Schema {
 
 func compileFor(t *testing.T, from, to *abi.Arch) *Program {
 	t.Helper()
-	p, err := convert.NewPlan(wire.MustLayout(mixedSchema(), from), wire.MustLayout(mixedSchema(), to))
+	return compileSchemas(t, mixedSchema(), from, mixedSchema(), to)
+}
+
+// compileSchemas compiles the conversion from wireSchema laid out for
+// from to nativeSchema laid out for to.
+func compileSchemas(t *testing.T, wireSchema *wire.Schema, from *abi.Arch, nativeSchema *wire.Schema, to *abi.Arch) *Program {
+	t.Helper()
+	return compileFormats(t, wire.MustLayout(wireSchema, from), wire.MustLayout(nativeSchema, to))
+}
+
+// compileFormats compiles the conversion from wf to nf.
+func compileFormats(t *testing.T, wf, nf *wire.Format) *Program {
+	t.Helper()
+	p, err := convert.NewPlan(wf, nf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +52,31 @@ func compileFor(t *testing.T, from, to *abi.Arch) *Program {
 	return prog
 }
 
+// optimizedCode returns the peephole-optimized instruction stream of a
+// program's plan — the input of the fusion pass.
+func optimizedCode(t *testing.T, prog *Program) []Instr {
+	t.Helper()
+	code, err := Emit(prog.Plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Optimize(code)
+}
+
+// withoutShuffle runs f on the CPU path that lacks the SIMD shuffle
+// unit: no shuffle ops are built and swapBlock declines every run.
+func withoutShuffle(t *testing.T, f func()) {
+	t.Helper()
+	old := useSwapAsm
+	useSwapAsm = false
+	defer func() { useSwapAsm = old }()
+	f()
+}
+
 // TestCompiledMatchesInterpreted is the central equivalence property: for
 // every architecture pair, the generated program and the interpreter must
-// produce byte-identical output.
+// produce identical field bytes (padding content is undefined: gap fusion
+// and shuffle identity lanes may leave source bytes there).
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	schemas := []*wire.Schema{
 		mixedSchema(),
@@ -86,9 +121,9 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 				if err := prog.Convert(got.Buf, src.Buf); err != nil {
 					t.Fatal(err)
 				}
-				if string(got.Buf) != string(want.Buf) {
-					t.Errorf("%s: %s->%s: compiled and interpreted outputs differ\nplan:\n%s\ncode:\n%s",
-						s.Name, from.Name, to.Name, plan, Disassemble(prog.Code()))
+				if diff := fieldBytesDiff(nf, got.Buf, want.Buf); diff != "" {
+					t.Errorf("%s: %s->%s: compiled and interpreted outputs differ on "+diff+"\nplan:\n%s\ncode:\n%s",
+						s.Name, from.Name, to.Name, plan, DisassembleBatch(prog.Ops()))
 				}
 			}
 		}
@@ -110,8 +145,8 @@ func TestCompiledPreservesValues(t *testing.T) {
 
 func TestNoOpProgram(t *testing.T) {
 	prog := compileFor(t, &abi.SparcV8, &abi.SparcV8)
-	if len(prog.Code()) != 0 {
-		t.Errorf("no-op program has %d instructions", len(prog.Code()))
+	if ops := prog.Ops(); len(ops) != 1 || ops[0].Kind != BBulkCopy {
+		t.Errorf("no-op program is not a single bulk copy:\n%s", DisassembleBatch(ops))
 	}
 	src := native.New(prog.Plan().Wire)
 	native.FillDeterministic(src, 7)
@@ -139,31 +174,27 @@ func TestOptimizeCoalescesCopies(t *testing.T) {
 	base := mixedSchema()
 	ext := &wire.Schema{Name: base.Name, Fields: append(
 		[]wire.FieldSpec{{Name: "hdr", Type: abi.Double, Count: 1}}, base.Fields...)}
-	wf := wire.MustLayout(ext, &abi.X86)
-	nf := wire.MustLayout(base, &abi.X86)
-	plan, err := convert.NewPlan(wf, nf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Compile(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nMov := 0
-	for _, in := range prog.Code() {
+	prog := compileSchemas(t, ext, &abi.X86, base, &abi.X86)
+	code := optimizedCode(t, prog)
+	for _, in := range code {
 		if in.Op != IMovBlk {
 			t.Fatalf("unexpected non-move instruction: %v", in)
 		}
-		nMov++
 	}
-	if nMov > 2 {
+	if len(code) > 2 {
 		t.Errorf("shifted-layout conversion uses %d moves, want <= 2:\n%s",
-			nMov, Disassemble(prog.Code()))
+			len(code), Disassemble(code))
+	}
+	// Moves stay copies: no shuffle, one kernel per fused move.
+	for _, op := range prog.Ops() {
+		if op.Kind != BMove {
+			t.Fatalf("move-only program has a %v op:\n%s", op.Kind, DisassembleBatch(prog.Ops()))
+		}
 	}
 	// The fused program must still be correct.
-	src := native.New(wf)
+	src := native.New(prog.Plan().Wire)
 	native.FillDeterministic(src, 3)
-	dst := native.New(nf)
+	dst := native.New(prog.Plan().Native)
 	if err := prog.Convert(dst.Buf, src.Buf); err != nil {
 		t.Fatal(err)
 	}
@@ -180,16 +211,23 @@ func TestOptimizeCoalescesSwaps(t *testing.T) {
 		{Name: "b", Type: abi.Double, Count: 4},
 		{Name: "c", Type: abi.Double, Count: 4},
 	}}
-	plan, err := convert.NewPlan(wire.MustLayout(s, &abi.SparcV8), wire.MustLayout(s, &abi.X86))
-	if err != nil {
-		t.Fatal(err)
+	code := optimizedCode(t, compileSchemas(t, s, &abi.SparcV8, s, &abi.X86))
+	if len(code) != 1 || code[0].Op != ISwap || code[0].Count != 12 {
+		t.Errorf("want single swap8 x12, got:\n%s", Disassemble(code))
 	}
-	prog, err := Compile(plan)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestOptimizeConsumesInput pins the documented contract: the result
+// aliases the argument, whose tail is left as it was.
+func TestOptimizeConsumesInput(t *testing.T) {
+	code := []Instr{
+		{Op: ISwap, Dst: 0, Src: 0, Count: 1, Width: 4},
+		{Op: ISwap, Dst: 4, Src: 4, Count: 1, Width: 4},
+		{Op: IMovBlk, Dst: 8, Src: 8, Len: 4},
 	}
-	if len(prog.Code()) != 1 || prog.Code()[0].Op != ISwap || prog.Code()[0].Count != 12 {
-		t.Errorf("want single swap8 x12, got:\n%s", Disassemble(prog.Code()))
+	out := Optimize(code)
+	if len(out) != 2 || &out[0] != &code[0] || code[0].Count != 2 || code[1].Op != IMovBlk {
+		t.Errorf("Optimize did not compact its argument in place:\n%s", Disassemble(code))
 	}
 }
 
@@ -201,6 +239,22 @@ func TestOptimizeDoesNotFuseAcrossUnequalGaps(t *testing.T) {
 	out := Optimize(code)
 	if len(out) != 2 {
 		t.Errorf("fused moves with unequal gaps:\n%s", Disassemble(out))
+	}
+}
+
+// TestOptimizeDoesNotFuseAcrossOccupiedGaps: when the stream is out of
+// offset order the hole between two moves may hold another field — here
+// the widened int written just before — so only exact neighbours fuse.
+func TestOptimizeDoesNotFuseAcrossOccupiedGaps(t *testing.T) {
+	code := []Instr{
+		{Op: ICvtInt, Dst: 8, Src: 8, Count: 1, SrcW: 4, DstW: 8},
+		{Op: IMovBlk, Dst: 0, Src: 0, Len: 8},
+		{Op: IMovBlk, Dst: 16, Src: 16, Len: 8}, // gap 8 on both sides, owned by the cvti
+		{Op: IMovBlk, Dst: 24, Src: 24, Len: 8}, // no gap
+	}
+	out := Optimize(code)
+	if len(out) != 3 || out[2].Dst != 16 || out[2].Len != 16 {
+		t.Errorf("want cvti, move 8, move 16:\n%s", Disassemble(out))
 	}
 }
 
@@ -226,33 +280,77 @@ func TestOptimizeMergesZeros(t *testing.T) {
 	}
 }
 
+// TestProgramInPlace pins the in-place contract on the one engine: for
+// an in-place-safe plan, converting with dst and src the same buffer
+// yields the field values of the two-buffer interpreted conversion —
+// whether or not the CPU path builds shuffle ops.
 func TestProgramInPlace(t *testing.T) {
-	// In-place execution for an in-place-safe plan.
 	base := mixedSchema()
+	// The homogeneous type-extension case: a dropped leading field
+	// shifts every expected field down.
 	ext := &wire.Schema{Name: base.Name, Fields: append(
 		[]wire.FieldSpec{{Name: "hdr", Type: abi.Int, Count: 4}}, base.Fields...)}
-	wf := wire.MustLayout(ext, &abi.X86)
-	nf := wire.MustLayout(base, &abi.X86)
-	plan, err := convert.NewPlan(wf, nf)
-	if err != nil {
-		t.Fatal(err)
+	// Heterogeneous: the dropped leading int shifts a down into the
+	// receiver's alignment padding, c and f/g swap in place and share
+	// 16-byte blocks (one shuffle region where the CPU has the unit)
+	// with the sources of the shifted swap and of iter's 8→4 narrow,
+	// which both run after the shuffle.
+	want := &wire.Schema{Name: "mix", Fields: []wire.FieldSpec{
+		{Name: "a", Type: abi.Int, Count: 1},
+		{Name: "c", Type: abi.Double, Count: 1},
+		{Name: "f", Type: abi.Float, Count: 1},
+		{Name: "g", Type: abi.UInt, Count: 1},
+		{Name: "iter", Type: abi.Long, Count: 1},
+		{Name: "d", Type: abi.Double, Count: 2},
+	}}
+	sent := &wire.Schema{Name: "mix", Fields: append(
+		[]wire.FieldSpec{{Name: "lead", Type: abi.Int, Count: 1}}, want.Fields...)}
+	cases := []struct {
+		name         string
+		wire, native *wire.Schema
+		from, to     *abi.Arch
+		shuffles     int // shuffle ops expected where the unit exists
+	}{
+		{"shifted-moves", ext, base, &abi.X86, &abi.X86, 0},
+		{"drop+swap+narrow", sent, want, &abi.SparcV9x64, &abi.StrongARM, 1},
 	}
-	if !plan.InPlace {
-		t.Fatal("expected in-place-safe plan")
-	}
-	prog, err := Compile(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := native.New(wf)
-	native.FillDeterministic(src, 55)
-	ref := src.Clone()
-	if err := prog.Convert(src.Buf, src.Buf); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := native.View(nf, src.Buf)
-	if diff := native.SemanticEqual(got, ref); diff != "" {
-		t.Errorf("in-place compiled conversion corrupted data: %s", diff)
+	for _, c := range cases {
+		run := func(t *testing.T) {
+			prog := compileSchemas(t, c.wire, c.from, c.native, c.to)
+			plan := prog.Plan()
+			if !plan.InPlace {
+				t.Fatalf("expected in-place-safe plan:\n%s", plan)
+			}
+			shuffles := 0
+			for _, op := range prog.Ops() {
+				if op.Kind == BShuf {
+					shuffles++
+				}
+			}
+			if shufAvailable() && shuffles != c.shuffles || !shufAvailable() && shuffles != 0 {
+				t.Fatalf("program has %d shuffle ops:\n%s", shuffles, DisassembleBatch(prog.Ops()))
+			}
+			src := native.New(plan.Wire)
+			native.FillDeterministic(src, 55)
+			ref := native.New(plan.Native)
+			if err := convert.NewInterp(plan).Convert(ref.Buf, src.Buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := prog.Convert(src.Buf, src.Buf); err != nil {
+				t.Fatal(err)
+			}
+			if diff := fieldBytesDiff(plan.Native, src.Buf, ref.Buf); diff != "" {
+				t.Errorf("in-place compiled conversion corrupted field %s\nplan:\n%s\ncode:\n%s",
+					diff, plan, DisassembleBatch(prog.Ops()))
+			}
+		}
+		t.Run(c.name+"/shuffle", func(t *testing.T) {
+			if !shufAvailable() {
+				t.Skip("no SIMD shuffle unit on this CPU")
+			}
+			run(t)
+		})
+		t.Run(c.name+"/no-shuffle", func(t *testing.T) { withoutShuffle(t, func() { run(t) }) })
 	}
 }
 
@@ -324,9 +422,12 @@ func TestCacheConcurrent(t *testing.T) {
 
 func TestDisassembleAndStrings(t *testing.T) {
 	prog := compileFor(t, &abi.SparcV8, &abi.X86)
-	asm := Disassemble(prog.Code())
+	asm := Disassemble(optimizedCode(t, prog))
 	if !strings.Contains(asm, "swap") {
 		t.Errorf("heterogeneous program has no swaps:\n%s", asm)
+	}
+	if fused := DisassembleBatch(prog.Ops()); !strings.Contains(fused, "swap") {
+		t.Errorf("fused heterogeneous program has no swaps:\n%s", fused)
 	}
 	for _, in := range []Instr{
 		{Op: IMovBlk, Len: 4}, {Op: ISwap, Width: 8, Count: 2},
@@ -343,13 +444,14 @@ func TestDisassembleAndStrings(t *testing.T) {
 }
 
 func TestLowerRejectsBadInstr(t *testing.T) {
-	if _, err := lower(Instr{Op: OpCode(42)}); err == nil {
+	if _, err := lower(&Instr{Op: OpCode(42)}); err == nil {
 		t.Error("unknown opcode lowered")
 	}
-	if _, err := lower(Instr{Op: ISwap, Width: 3}); err == nil {
+	bad := fuseSwap(&Instr{Op: ISwap, Width: 3, Count: 4})
+	if _, err := lowerBatch(&bad, 16, 16); err == nil {
 		t.Error("swap width 3 lowered")
 	}
-	if _, err := lower(Instr{Op: ICvtFloat, SrcW: 4, DstW: 4}); err == nil {
+	if _, err := lower(&Instr{Op: ICvtFloat, SrcW: 4, DstW: 4}); err == nil {
 		t.Error("float convert 4->4 lowered")
 	}
 }

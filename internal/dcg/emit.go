@@ -13,7 +13,9 @@ func Emit(p *convert.Plan) ([]Instr, error) {
 	if p.NoOp {
 		return nil, nil
 	}
-	code := make([]Instr, 0, 2*len(p.Ops))
+	// One instruction per op; the rare zeroed tails and inlined
+	// structure bodies grow the stream as they come.
+	code := make([]Instr, 0, len(p.Ops))
 	for i := range p.Ops {
 		o := &p.Ops[i]
 		srcBig := o.SrcOrder == abi.BigEndian
@@ -106,9 +108,11 @@ func shiftInstrs(code []Instr, dstDelta, srcDelta int) []Instr {
 	return out
 }
 
-// FuseBatch lowers an optimized per-record instruction stream to batch
-// run ops, choosing the word-fused form for every swap run wide enough to
-// fill a 64-bit word:
+// FuseBatch lowers a per-record instruction stream for records of at
+// least size bytes on both sides to the batch run ops that execute it.
+// Clusters of short in-place swaps and moves become whole-block shuffles
+// (buildShuffles), which run first; every other instruction follows in
+// plan order, in the word-fused form where it has one:
 //
 //   - width-8 swaps are one bits.ReverseBytes64 per element already;
 //   - width-4 runs process element pairs per 64-bit word (ReverseBytes64
@@ -119,28 +123,30 @@ func shiftInstrs(code []Instr, dstDelta, srcDelta int) []Instr {
 //     per-record runs (the per-record stream already coalesced them);
 //   - converts and subroutine calls keep their per-record step (BStep).
 //
-// The input stream must already be optimized: FuseBatch widens elements
-// into words, Optimize widens fields into element runs, and the former
-// only pays off after the latter.
-func FuseBatch(code []Instr) []BatchOp {
-	ops := make([]BatchOp, 0, len(code))
-	for _, in := range code {
+// The input should already be optimized: FuseBatch widens elements into
+// words, Optimize widens fields into element runs, and the former pays
+// off most after the latter.
+func FuseBatch(code []Instr, size int) []BatchOp {
+	shufs, code := buildShuffles(code, size)
+	ops := append(make([]BatchOp, 0, len(shufs)+len(code)), shufs...)
+	for i := range code {
+		in := &code[i]
 		switch in.Op {
 		case IMovBlk:
-			ops = append(ops, BatchOp{Kind: BMove, In: in})
+			ops = append(ops, BatchOp{Kind: BMove, In: *in})
 		case IZero:
-			ops = append(ops, BatchOp{Kind: BZero, In: in})
+			ops = append(ops, BatchOp{Kind: BZero, In: *in})
 		case ISwap:
 			ops = append(ops, fuseSwap(in))
 		default:
-			ops = append(ops, BatchOp{Kind: BStep, In: in})
+			ops = append(ops, BatchOp{Kind: BStep, In: *in})
 		}
 	}
 	return ops
 }
 
 // fuseSwap picks the widest word shape a swap run supports.
-func fuseSwap(in Instr) BatchOp {
+func fuseSwap(in *Instr) BatchOp {
 	perWord := 0
 	switch in.Width {
 	case 8:
@@ -153,12 +159,12 @@ func fuseSwap(in Instr) BatchOp {
 		// Width-1 swap is a copy.
 		return BatchOp{Kind: BMove, In: Instr{Op: IMovBlk, Dst: in.Dst, Src: in.Src, Len: in.Count}}
 	default:
-		return BatchOp{Kind: BSwap, In: in} // rejected later by lowerSwap
+		return BatchOp{Kind: BSwap, In: *in} // rejected later by lowerBatchSwap
 	}
 	if words := in.Count / perWord; words > 0 {
-		return BatchOp{Kind: BSwapWide, In: in, Words: words, Rem: in.Count % perWord}
+		return BatchOp{Kind: BSwapWide, In: *in, Words: words, Rem: in.Count % perWord}
 	}
-	return BatchOp{Kind: BSwap, In: in}
+	return BatchOp{Kind: BSwap, In: *in}
 }
 
 // Optimize applies peephole optimizations to an instruction stream and
@@ -173,14 +179,26 @@ func fuseSwap(in Instr) BatchOp {
 //
 // Fusion through gaps requires the source and destination gaps to be
 // equal, so the bytes between fields (padding on both sides) are copied
-// verbatim — harmless, since they are padding in both layouts.
+// verbatim — harmless, since they are padding in both layouts.  That
+// they are padding is only known when the stream ascends on both sides
+// (ascending); a format that declares its fields out of offset order may
+// keep another field in the hole, and its stream fuses exact neighbours
+// only.
+//
+// Optimize consumes its argument: the result is compacted into code's
+// storage (the write position never passes the read position), so a
+// caller that still needs the unoptimized stream must pass a copy.
 func Optimize(code []Instr) []Instr {
 	if len(code) == 0 {
 		return code
 	}
-	out := make([]Instr, 0, len(code))
-	out = append(out, code[0])
-	for _, in := range code[1:] {
+	maxGap := maxGap
+	if !ascending(code) {
+		maxGap = 0
+	}
+	out := code[:1]
+	for i := 1; i < len(code); i++ {
+		in := &code[i]
 		last := &out[len(out)-1]
 		switch {
 		case in.Op == IMovBlk && last.Op == IMovBlk:
@@ -219,7 +237,34 @@ func Optimize(code []Instr) []Instr {
 				continue
 			}
 		}
-		out = append(out, in)
+		out = append(out, *in)
 	}
 	return out
+}
+
+// ascending reports whether every instruction starts at or above the end
+// of the one before it, in the destination and in the source record — as
+// in every stream emitted for formats that declare their fields in
+// offset order, which is all wire.Layout produces.  The bytes between two
+// neighbours then belong to no other instruction.
+func ascending(code []Instr) bool {
+	dEnd, sEnd := 0, 0
+	for i := range code {
+		in := &code[i]
+		dLen, sLen := in.Len, in.Len
+		switch in.Op {
+		case ISwap:
+			dLen, sLen = in.Count*in.Width, in.Count*in.Width
+		case ICvtInt, ICvtFloat, ICall:
+			dLen, sLen = in.Count*in.DstW, in.Count*in.SrcW
+		}
+		if in.Dst < dEnd || in.Op != IZero && in.Src < sEnd {
+			return false
+		}
+		dEnd = in.Dst + dLen
+		if in.Op != IZero { // IZero has no source
+			sEnd = in.Src + sLen
+		}
+	}
+	return true
 }

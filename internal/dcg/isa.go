@@ -4,14 +4,17 @@
 //
 // The Go standard library cannot emit native machine code, so the
 // pipeline is reproduced one level up: a conversion plan is lowered to a
-// stream of virtual-RISC instructions (the Vcode role), a peephole
-// optimizer coalesces and fuses them, and a run-time compiler lowers each
-// instruction to a closure specialized with compile-time constants —
-// straight-line copies, fixed-width swap loops, concrete convert loops —
-// executed with no per-field or per-element interpretive dispatch.  What
-// the paper measures is the gap between a table-driven interpreter and a
-// once-generated specialized routine; that gap is exactly what this
-// package recreates.
+// stream of virtual-RISC instructions (the Vcode role, Emit), a peephole
+// optimizer coalesces fields into runs (Optimize), clusters of short
+// in-place swaps and moves are folded into whole-block byte shuffles and
+// the remaining runs widened into word-at-a-time ops (FuseBatch), and
+// each resulting op is lowered to one kernel specialized with
+// compile-time constants — record strides, offsets, widths — that sweeps
+// all n records of a contiguous batch.  A single record is the n=1 case
+// of the same kernel list, so there is one generated routine per layout
+// pair however the records arrive.  What the paper measures is the gap
+// between a table-driven interpreter and a once-generated specialized
+// routine; that gap is exactly what this package recreates.
 package dcg
 
 import (
@@ -95,10 +98,10 @@ func (in Instr) String() string {
 	return fmt.Sprintf("?%d", in.Op)
 }
 
-// BatchOpKind classifies one stride-aware run instruction of a batch
-// program (CompileBatch).  A batch op executes its per-record work for
-// every record of a contiguous fixed-stride run, so the dispatch cost of
-// one op is amortized over the whole batch instead of paid per record.
+// BatchOpKind classifies one stride-aware run instruction of a compiled
+// program.  A batch op executes its per-record work for every record of
+// a contiguous fixed-stride run, so the dispatch cost of one op is
+// amortized over the whole batch instead of paid per record.
 type BatchOpKind uint8
 
 const (
@@ -122,12 +125,12 @@ const (
 	// the fallback for integer/float converts and nested-structure
 	// subroutine calls, which have no word-fused form.
 	BStep
-	// BShuf applies a precomputed byte-permutation program to the
-	// leading 16-byte blocks of every record: one PSHUFB control mask
-	// per block subsumes every in-place swap and move in the region —
-	// however many fields a block spans — with zero lanes for padding
-	// and zero-fills.  Built only on CPUs with the shuffle unit; the
-	// remaining ops lower through the regular kernels and run after it.
+	// BShuf applies a precomputed byte-permutation program to the In.Len
+	// bytes at In.Dst (== In.Src) of every record: one PSHUFB control
+	// mask per 16-byte block subsumes every short in-place swap and move
+	// in the region — however many fields a block spans — with identity
+	// lanes for the bytes between them.  Built only on CPUs with the
+	// shuffle unit; shuffles run before every other op of the program.
 	BShuf
 )
 
@@ -154,9 +157,8 @@ type BatchOp struct {
 	// elements swapped singly.  Words*8/In.Width + Rem == In.Count.
 	Words int
 	Rem   int
-	// BShuf only: one 16-byte PSHUFB control mask per record block.
-	// Lane values < 16 select a source byte within the block; 0x80
-	// lanes write zero (padding and zero-fills).
+	// BShuf only: one 16-byte PSHUFB control mask per block of the
+	// region; each lane selects a source byte within its block.
 	Masks []byte
 }
 
@@ -171,8 +173,8 @@ func (op BatchOp) String() string {
 	case BStep:
 		return fmt.Sprintf("step    {%s} *n", op.In.String())
 	case BShuf:
-		return fmt.Sprintf("shuf    d+0, s+0, %dB in %d blocks *n",
-			len(op.Masks), len(op.Masks)/16)
+		return fmt.Sprintf("shuf    d+%d, s+%d, %dB in %d blocks *n",
+			op.In.Dst, op.In.Src, len(op.Masks), len(op.Masks)/16)
 	case BMove, BSwap, BZero:
 		return fmt.Sprintf("%-7s {%s} *n", op.Kind.String(), op.In.String())
 	}

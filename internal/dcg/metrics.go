@@ -12,14 +12,6 @@ type Metrics struct {
 	CacheHits    *telemetry.Counter
 	CacheMisses  *telemetry.Counter
 	CompileNanos *telemetry.Histogram
-
-	// Batch-program cache traffic and codegen latency (CompileBatch).
-	// Separate families: a batch compile is a different artifact with a
-	// different cost profile, and the hit ratio shows whether batched
-	// streams amortize as well as per-record ones.
-	BatchCacheHits    *telemetry.Counter
-	BatchCacheMisses  *telemetry.Counter
-	BatchCompileNanos *telemetry.Histogram
 }
 
 // NewMetrics builds the dcg metric set on r (nil registry → nil set).
@@ -31,11 +23,5 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		CacheHits:    r.Counter("pbio_dcg_cache_hits_total", "Conversion-program cache hits."),
 		CacheMisses:  r.Counter("pbio_dcg_cache_misses_total", "Conversion-program cache misses (each one compiles)."),
 		CompileNanos: r.Histogram("pbio_dcg_compile_nanos", "Latency of one conversion-program compilation, nanoseconds."),
-		BatchCacheHits: r.Counter("pbio_dcg_batch_cache_hits_total",
-			"Batch conversion-program cache hits."),
-		BatchCacheMisses: r.Counter("pbio_dcg_batch_cache_misses_total",
-			"Batch conversion-program cache misses (each one compiles)."),
-		BatchCompileNanos: r.Histogram("pbio_dcg_batch_compile_nanos",
-			"Latency of one batch conversion-program compilation, nanoseconds."),
 	}
 }

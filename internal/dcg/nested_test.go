@@ -69,9 +69,9 @@ func TestNestedCompiledMatchesInterpreted(t *testing.T) {
 			if err := prog.Convert(got.Buf, src.Buf); err != nil {
 				t.Fatal(err)
 			}
-			if string(got.Buf) != string(want.Buf) {
-				t.Errorf("%s->%s: nested compiled and interpreted outputs differ\n%s",
-					from.Name, to.Name, Disassemble(prog.Code()))
+			if diff := fieldBytesDiff(nf, got.Buf, want.Buf); diff != "" {
+				t.Errorf("%s->%s: nested compiled and interpreted outputs differ on %s\n%s",
+					from.Name, to.Name, diff, DisassembleBatch(prog.Ops()))
 			}
 		}
 	}
@@ -89,7 +89,7 @@ func TestNestedProgramHasCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm := Disassemble(prog.Code())
+	asm := DisassembleBatch(prog.Ops())
 	if !strings.Contains(asm, "call") {
 		t.Errorf("large nested array compiled without a call instruction:\n%s", asm)
 	}
@@ -108,7 +108,7 @@ func TestNestedSmallCountInlined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm := Disassemble(prog.Code())
+	asm := DisassembleBatch(prog.Ops())
 	if strings.Contains(asm, "call") {
 		t.Errorf("small nested array not inlined:\n%s", asm)
 	}

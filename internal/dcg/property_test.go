@@ -14,8 +14,9 @@ import (
 // property: for hundreds of random schemas (including nested structures
 // and arrays), random architecture pairs, and random type-extension
 // mutations, the generated conversion program and the interpreter must
-// produce byte-identical output, and the conversion must preserve every
-// matched field's value.
+// produce identical field bytes — through both entries and in place
+// where the plan allows (checkAgainstInterp) — and the conversion must
+// preserve every matched field's value.
 func TestPropertyRandomSchemas(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260706))
 	iters := 300
@@ -53,66 +54,37 @@ func TestPropertyRandomSchemas(t *testing.T) {
 		src := native.New(wf)
 		native.FillDeterministic(src, int64(i))
 
-		want := native.New(nf)
-		if err := convert.NewInterp(plan).Convert(want.Buf, src.Buf); err != nil {
-			t.Fatalf("iter %d: interp: %v", i, err)
-		}
-		got := native.New(nf)
-		if err := prog.Convert(got.Buf, src.Buf); err != nil {
-			t.Fatalf("iter %d: dcg: %v", i, err)
-		}
-		// Compare destination FIELD bytes; padding content is undefined
-		// (the optimizer's gap fusion may copy source bytes into
-		// destination padding, which the interpreter leaves untouched).
-		if diff := fieldBytesDiff(nf, got.Buf, want.Buf); diff != "" {
-			t.Fatalf("iter %d: %s->%s: interp and dcg disagree on %s\nplan:\n%s\ncode:\n%s",
-				i, from.Name, to.Name, diff, plan, Disassemble(prog.Code()))
-		}
+		// Field bytes against the interpreter, through both entries and
+		// — in-place claims must be honored — the aliased one whenever
+		// the plan says in-place is safe.
+		checkAgainstInterp(t, prog, src.Buf)
 
 		// Value preservation over the matched intersection.  Integer
 		// narrowing may truncate values legitimately, so check only
 		// fields whose destination is at least as wide as the source.
+		got := native.New(nf)
+		if err := prog.Convert(got.Buf, src.Buf); err != nil {
+			t.Fatalf("iter %d: dcg: %v", i, err)
+		}
 		if diff := checkPreserved(src, got); diff != "" {
 			t.Fatalf("iter %d: %s->%s: %s\nplan:\n%s", i, from.Name, to.Name, diff, plan)
-		}
-
-		// In-place claims must be honored: when the plan says in-place
-		// is safe, converting in a shared buffer must yield the same
-		// field values as the two-buffer result.  (Byte equality is too
-		// strict: in-place conversion leaves source bytes in alignment
-		// padding, which is undefined content.)
-		if plan.InPlace {
-			shared := make([]byte, max(wf.Size, nf.Size))
-			copy(shared, src.Buf)
-			if err := prog.Convert(shared[:nf.Size], shared[:wf.Size]); err != nil {
-				t.Fatalf("iter %d: in-place: %v", i, err)
-			}
-			view, err := native.View(nf, shared)
-			if err != nil {
-				t.Fatalf("iter %d: view: %v", i, err)
-			}
-			if diff := native.SemanticEqual(want, view); diff != "" {
-				t.Fatalf("iter %d: %s->%s: in-place result differs: %s\nplan:\n%s",
-					i, from.Name, to.Name, diff, plan)
-			}
 		}
 	}
 }
 
 // TestPropertyBatchAgainstInterp extends the random-schema property to
-// the fused batch engine: for random field layouts, random architecture
-// pairs and batch sizes spanning one record to well past any word-fusion
-// boundary, ConvertBatch must agree field-for-field with the interpreted
-// converter run record by record.
+// batches: for random field layouts, random architecture pairs and batch
+// sizes spanning one record to well past any word-fusion boundary, the
+// compiled program must agree field-for-field with the interpreted
+// converter run record by record (checkAgainstInterp).
 func TestPropertyBatchAgainstInterp(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	sizes := []int{1, 2, 7, 64, 1024}
-	iters := 8 * len(sizes)
+	iters := 8 * len(batchSizes)
 	if testing.Short() {
-		iters = 2 * len(sizes)
+		iters = 2 * len(batchSizes)
 	}
 	for i := 0; i < iters; i++ {
-		n := sizes[i%len(sizes)]
+		n := batchSizes[i%len(batchSizes)]
 		schema := wire.RandomSchema(rng, "r", 8, 2)
 		from := abi.All[rng.Intn(len(abi.All))]
 		to := abi.All[rng.Intn(len(abi.All))]
@@ -128,40 +100,24 @@ func TestPropertyBatchAgainstInterp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: layout native: %v", i, err)
 		}
+		if rng.Intn(3) == 0 {
+			nf = permuteFields(rng, nf) // ops out of offset order
+		}
 		plan, err := convert.NewPlan(wf, nf)
 		if err != nil {
 			t.Fatalf("iter %d: plan: %v", i, err)
 		}
-		bp, err := CompileBatch(plan)
+		prog, err := Compile(plan)
 		if err != nil {
-			t.Fatalf("iter %d: compile batch: %v", i, err)
+			t.Fatalf("iter %d: compile: %v", i, err)
 		}
-
 		src := make([]byte, n*wf.Size)
-		want := make([]byte, n*nf.Size)
-		it := convert.NewInterp(plan)
 		for r := 0; r < n; r++ {
 			rec := native.New(wf)
 			native.FillDeterministic(rec, int64(i*1024+r))
 			copy(src[r*wf.Size:], rec.Buf)
-			if err := it.Convert(want[r*nf.Size:(r+1)*nf.Size], rec.Buf); err != nil {
-				t.Fatalf("iter %d: interp: %v", i, err)
-			}
 		}
-		got := make([]byte, n*nf.Size)
-		cnt, err := bp.ConvertBatch(got, src)
-		if err != nil {
-			t.Fatalf("iter %d: batch: %v", i, err)
-		}
-		if cnt != n {
-			t.Fatalf("iter %d: ConvertBatch converted %d of %d records", i, cnt, n)
-		}
-		for r := 0; r < n; r++ {
-			if diff := fieldBytesDiff(nf, got[r*nf.Size:(r+1)*nf.Size], want[r*nf.Size:(r+1)*nf.Size]); diff != "" {
-				t.Fatalf("iter %d: %s->%s: batch and interp disagree on record %d/%d field %s\nplan:\n%s\nbatch code:\n%s",
-					i, from.Name, to.Name, r, n, diff, plan, DisassembleBatch(bp.Ops()))
-			}
-		}
+		checkAgainstInterp(t, prog, src)
 	}
 }
 

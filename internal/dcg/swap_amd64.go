@@ -23,19 +23,17 @@ var useSwapAsm = cpuHasSSSE3()
 func cpuHasSSSE3() bool
 
 // swapPSHUFB byte-reverses elements across n bytes (n > 0, n%16 == 0)
-// from src to dst using the given 16-byte shuffle mask.  dst and src
-// must not overlap.
+// from src to dst using the given 16-byte shuffle mask.  Blocks are
+// loaded before they are stored and the sweep runs forward, so dst may
+// equal src or lie below it (in-place conversion); dst must not overlap
+// src from above.
 //
 //go:noescape
 func swapPSHUFB(dst, src *byte, n int, mask *byte)
 
-// shufAvailable reports whether whole-record shuffle programs (BShuf)
-// can run on this machine.
-func shufAvailable() bool { return useSwapAsm }
-
 // shufBlocks shuffles n 16-byte blocks from src to dst, each through
-// its own control mask from masks (n blocks of 16 control bytes).  dst
-// and src must not overlap; n must be positive.
+// its own control mask from masks (n blocks of 16 control bytes).  The
+// aliasing rule is swapPSHUFB's; n must be positive.
 //
 //go:noescape
 func shufBlocks(dst, src, masks *byte, n int)

@@ -2,16 +2,14 @@
 
 package dcg
 
-// swapBlock has no SIMD implementation off amd64; the scalar word loops
-// in the batch kernels handle the whole run.
+// useSwapAsm is constant off amd64: there is no SIMD implementation, so
+// shuffle ops are never built and the scalar word loops in the batch
+// kernels handle every run.
+var useSwapAsm = false
+
 func swapBlock(width int, db, sb []byte) int { return 0 }
 
-// shufAvailable reports that whole-record shuffle programs cannot run
-// here: without the SIMD shuffle unit the word-wide kernels are faster
-// than emulating a byte permutation, so BShuf ops are never built.
-func shufAvailable() bool { return false }
-
-// shufBlocks is unreachable off amd64 — buildRecordShuffle is gated on
+// shufBlocks is unreachable off amd64 — buildShuffles is gated on
 // shufAvailable.
 func shufBlocks(dst, src, masks *byte, n int) {
 	panic("dcg: shuffle program without SIMD support")

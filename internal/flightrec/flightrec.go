@@ -229,19 +229,14 @@ func (r *Recorder) ChecksumFailure(subject string) { r.Emit(KindChecksumFailure,
 // DeadlineTimeout records a read or write that hit its deadline.
 func (r *Recorder) DeadlineTimeout(subject string) { r.Emit(KindDeadlineTimeout, subject, 0, 0, 0) }
 
-// DCGCompile records a conversion-program compilation and its latency.
-func (r *Recorder) DCGCompile(format string, nanos int64) {
-	r.Emit(KindDCGCompile, format, 0, nanos, 0)
-}
-
-// DCGBatchCompile records a batch conversion-program compilation: the
-// latency in arg1 and the fused shape — run-op count, word-wide swap ops
-// per record, per-record step fallbacks — packed into arg2 with
-// BatchShape.  Compiles are rare, so the shape rides in the journal
-// itself and pbio-dump can show what the fusion pass produced without
-// the program in hand.
-func (r *Recorder) DCGBatchCompile(format string, runs, fusedWords, stepFallbacks, nanos int64) {
-	r.Emit(KindDCGBatchCompile, format, 0, nanos, BatchShape(runs, fusedWords, stepFallbacks))
+// DCGCompile records a conversion-program compilation: the latency in
+// arg1 and the fused shape — run-op count, word-wide swap ops per
+// record, per-record step fallbacks — packed into arg2 with BatchShape.
+// Compiles are rare, so the shape rides in the journal itself and
+// pbio-dump can show what the fusion pass produced without the program
+// in hand.
+func (r *Recorder) DCGCompile(format string, runs, fusedWords, stepFallbacks, nanos int64) {
+	r.Emit(KindDCGCompile, format, 0, nanos, BatchShape(runs, fusedWords, stepFallbacks))
 }
 
 // batchShapeBits is the field width of each count in a packed batch
@@ -249,7 +244,7 @@ func (r *Recorder) DCGBatchCompile(format string, runs, fusedWords, stepFallback
 // saturated field reads as "at least".
 const batchShapeBits = 20
 
-// BatchShape packs a batch program's fused shape into one journal arg
+// BatchShape packs a compiled program's fused shape into one journal arg
 // word: three 20-bit fields, run-op count highest.
 func BatchShape(runs, fusedWords, stepFallbacks int64) int64 {
 	clamp := func(v int64) int64 {

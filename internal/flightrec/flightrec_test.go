@@ -148,7 +148,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.ConnClose("x")
 	r.ChecksumFailure("x")
 	r.DeadlineTimeout("x")
-	r.DCGCompile("x", 1)
+	r.DCGCompile("x", 1, 1, 1, 1)
 	if r.Seq() != 0 || r.Len() != 0 || r.Dropped() != 0 {
 		t.Error("nil recorder reports non-zero accounting")
 	}

@@ -37,8 +37,8 @@ const (
 
 	// PBIO context events.
 	KindMetaRegister    // a format was laid out and registered in a context (arg1: record size)
-	KindDCGCompile      // a conversion program was compiled (arg1: compile nanos)
-	KindDCGBatchCompile // a batch conversion program was compiled (arg1: compile nanos; arg2: fused shape, see flightrec.BatchShape)
+	KindDCGCompile      // a conversion program was compiled (arg1: compile nanos; arg2: fused shape, see BatchShape — 0 in journals written before the engines merged)
+	kindDCGBatchCompile // retired with the separate batch engine; never emitted, named so old journals still render
 
 	numKinds
 )
@@ -61,7 +61,7 @@ var kindNames = [...]string{
 	KindFmtRetry:         "FmtRetry",
 	KindMetaRegister:     "MetaRegister",
 	KindDCGCompile:       "DCGCompile",
-	KindDCGBatchCompile:  "DCGBatchCompile",
+	kindDCGBatchCompile:  "DCGBatchCompile",
 }
 
 // String returns the symbolic name of the kind, or "Kind(n)" for values

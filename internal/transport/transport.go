@@ -802,7 +802,7 @@ func (t *Reader) nextBatched(m *Message, wireBytes int) {
 // valid only until the next read.
 //
 // This is the transport half of the fused decode path: one TakeBatch
-// plus one dcg.BatchProgram.ConvertBatch replaces per-record message
+// plus one dcg.Program.ConvertBatch replaces per-record message
 // iteration and per-record program dispatch.
 func (t *Reader) TakeBatch(m *Message) []byte {
 	f := t.pendingFmt

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/convert"
-	"repro/internal/dcg"
 	"repro/internal/native"
-	"repro/internal/wire"
 )
 
 // RecordBatch is a reusable destination for the fused batch decode path:
@@ -77,7 +75,7 @@ func (b *RecordBatch) ensure(n int) []byte {
 // DecodeBatch converts this message — and, when it is the current record
 // of a batch frame, every remaining record of that frame — into out with
 // a single fused conversion: one program fetch, one bounds check and one
-// kernel sweep per frame instead of per record (dcg.CompileBatch).  It
+// kernel sweep per frame instead of per record (dcg.Program.ConvertBatch).  It
 // returns the number of records decoded; out's previous contents are
 // replaced.  After a multi-record decode the frame is consumed: the next
 // Read returns the message after the batch.
@@ -139,41 +137,19 @@ func (m *Message) convertBatch(expected *Format, dst, src []byte, n int) error {
 		}
 		return nil
 	}
-	bp, err := m.batchProgram(expected.wf)
+	prog, err := m.program(expected.wf)
 	if err != nil {
 		return err
 	}
 	if m.ctx.met.enabled {
 		start := time.Now()
-		if _, err := bp.ConvertBatch(dst, src); err != nil {
+		if _, err := prog.ConvertBatch(dst, src); err != nil {
 			return err
 		}
 		expected.met.decBatch.Add(int64(n))
 		m.ctx.met.dcgBatchNanos.Observe(time.Since(start).Nanoseconds())
 		return nil
 	}
-	_, err = bp.ConvertBatch(dst, src)
+	_, err = prog.ConvertBatch(dst, src)
 	return err
-}
-
-// batchProgram is program's counterpart for the fused batch engine,
-// consulting the reader's memo before the shared cache.  The batch memo
-// coexists with the per-record one: a reader that mixes DecodeInto and
-// DecodeBatch on one format pair keeps both programs hot.
-func (m *Message) batchProgram(nf *wire.Format) (*dcg.BatchProgram, error) {
-	if r := m.r; r != nil && r.memoWF == m.msg.Format && r.memoNF == nf && r.memoBatch != nil {
-		return r.memoBatch, nil
-	}
-	bp, err := m.ctx.cache.GetBatch(m.msg.Format, nf)
-	if err != nil {
-		return nil, err
-	}
-	if r := m.r; r != nil {
-		if r.memoWF != m.msg.Format || r.memoNF != nf {
-			// New format pair: the per-record memo entries are stale.
-			r.memoProg, r.memoPlan = nil, nil
-		}
-		r.memoWF, r.memoNF, r.memoBatch = m.msg.Format, nf, bp
-	}
-	return bp, nil
 }

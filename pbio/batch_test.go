@@ -412,7 +412,7 @@ func TestDecodeBatchWrongFormat(t *testing.T) {
 }
 
 // TestDecodeBatchFlightEvent checks that the first fused decode journals
-// a DCGBatchCompile event carrying the fused shape in its arg words.
+// a DCGCompile event carrying the fused shape in its arg words.
 func TestDecodeBatchFlightEvent(t *testing.T) {
 	stream := stageTicks(t, "sparc-v8", 3)
 	fr := flightrec.New("batch-test", 64)
@@ -437,20 +437,20 @@ func TestDecodeBatchFlightEvent(t *testing.T) {
 	}
 	found := false
 	for _, ev := range events {
-		if ev.Kind != flightrec.KindDCGBatchCompile {
+		if ev.Kind != flightrec.KindDCGCompile {
 			continue
 		}
 		found = true
 		runs, words, steps := flightrec.UnpackBatchShape(ev.Arg2)
 		if runs == 0 || words == 0 {
-			t.Errorf("batch compile event shape runs=%d fusedWords=%d, want both > 0", runs, words)
+			t.Errorf("compile event shape runs=%d fusedWords=%d, want both > 0", runs, words)
 		}
 		if steps != 0 {
 			t.Errorf("flat tick format needed %d step fallbacks", steps)
 		}
 	}
 	if !found {
-		t.Error("no DCGBatchCompile event in the flight journal")
+		t.Error("no DCGCompile event in the flight journal")
 	}
 }
 

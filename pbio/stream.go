@@ -170,11 +170,10 @@ type Reader struct {
 	// long runs of one format, and the shared meta cache makes wire
 	// format pointers stable across streams, so pointer equality hits
 	// nearly always and skips the conversion-cache lock and map.
-	memoWF    *wire.Format
-	memoNF    *wire.Format
-	memoProg  *dcg.Program
-	memoPlan  *convert.Plan
-	memoBatch *dcg.BatchProgram
+	memoWF   *wire.Format
+	memoNF   *wire.Format
+	memoProg *dcg.Program
+	memoPlan *convert.Plan
 }
 
 // NewReader returns a Reader over r.  Like NewWriter, the body stays
@@ -316,7 +315,8 @@ func (m *Message) View(expected *Format) (rec *Record, ok bool, err error) {
 
 // program returns the generated conversion program from the message's
 // wire format to nf, consulting the reader's memo before the shared
-// cache.
+// cache.  DecodeInto and DecodeBatch run the same program, so a reader
+// that mixes them on one format pair keeps one memo entry hot.
 func (m *Message) program(nf *wire.Format) (*dcg.Program, error) {
 	if r := m.r; r != nil && r.memoWF == m.msg.Format && r.memoNF == nf && r.memoProg != nil {
 		return r.memoProg, nil
@@ -326,9 +326,6 @@ func (m *Message) program(nf *wire.Format) (*dcg.Program, error) {
 		return nil, err
 	}
 	if r := m.r; r != nil {
-		if r.memoWF != m.msg.Format || r.memoNF != nf {
-			r.memoBatch = nil
-		}
 		r.memoWF, r.memoNF, r.memoProg, r.memoPlan = m.msg.Format, nf, prog, nil
 	}
 	return prog, nil
@@ -344,9 +341,6 @@ func (m *Message) interpPlan(nf *wire.Format) (*convert.Plan, error) {
 		return nil, err
 	}
 	if r := m.r; r != nil {
-		if r.memoWF != m.msg.Format || r.memoNF != nf {
-			r.memoBatch = nil
-		}
 		r.memoWF, r.memoNF, r.memoPlan, r.memoProg = m.msg.Format, nf, plan, nil
 	}
 	return plan, nil

@@ -120,7 +120,8 @@ func (c *Context) initTelemetry() {
 		decodes: c.tel.CounterVec("pbio_decodes_total",
 			"Records decoded, by expected format and conversion path "+
 				"(zero_copy, interp, dcg, dcg_batch — the paper's three "+
-				"receive regimes plus the fused batch path).",
+				"receive regimes; dcg_batch is the compiled engine entered "+
+				"once per batch frame).",
 			"format", "path"),
 		decodeNanos:   decodeNanos,
 		interpNanos:   decodeNanos.With(pathInterp),

@@ -79,10 +79,10 @@ func runExchange(t *testing.T, reg *telemetry.Registry, sendArch, recvArch strin
 	}
 }
 
-// TestBatchDecodePathCounters covers the fourth receive regime: a fused
-// batch decode counts every record under the dcg_batch path, observes
-// one latency per frame, and the batch-program cache exports its own
-// pbio_dcg_batch_* compile/hit/miss families.
+// TestBatchDecodePathCounters covers the compiled engine's per-frame
+// entry: a fused batch decode counts every record under the dcg_batch
+// path and observes one latency per frame, while its program is counted
+// by the one pbio_dcg_* compile/hit/miss family every program shares.
 func TestBatchDecodePathCounters(t *testing.T) {
 	const n = 12
 	reg := telemetry.NewRegistry()
@@ -150,11 +150,11 @@ func TestBatchDecodePathCounters(t *testing.T) {
 	var frameObs int64
 	for _, m := range reg.Snapshot() {
 		switch m.Name {
-		case "pbio_dcg_batch_cache_hits_total", "pbio_dcg_batch_cache_misses_total":
+		case "pbio_dcg_cache_hits_total", "pbio_dcg_cache_misses_total":
 			for _, s := range m.Series {
 				families[m.Name] += s.Value
 			}
-		case "pbio_dcg_batch_compile_nanos":
+		case "pbio_dcg_compile_nanos":
 			for _, s := range m.Series {
 				families[m.Name] += s.Histogram.Count
 			}
@@ -168,11 +168,11 @@ func TestBatchDecodePathCounters(t *testing.T) {
 	}
 	// One compile (the miss); the second frame hits the reader memo, so
 	// the shared cache sees no more traffic.
-	if families["pbio_dcg_batch_cache_misses_total"] != 1 {
-		t.Errorf("batch cache misses = %d, want 1 (families: %v)", families["pbio_dcg_batch_cache_misses_total"], families)
+	if families["pbio_dcg_cache_misses_total"] != 1 || families["pbio_dcg_cache_hits_total"] != 0 {
+		t.Errorf("cache misses = %d, hits = %d, want 1 and 0", families["pbio_dcg_cache_misses_total"], families["pbio_dcg_cache_hits_total"])
 	}
-	if families["pbio_dcg_batch_compile_nanos"] != 1 {
-		t.Errorf("batch compiles observed = %d, want 1", families["pbio_dcg_batch_compile_nanos"])
+	if families["pbio_dcg_compile_nanos"] != 1 {
+		t.Errorf("compiles observed = %d, want 1", families["pbio_dcg_compile_nanos"])
 	}
 	// Latency is observed once per frame, not per record.
 	if frameObs != 2 {
