@@ -72,9 +72,10 @@ fuzz:
 # bench runs the perf-trajectory benchmarks (pbio public API + DCG
 # engine) and stores them as a machine-readable artifact.  BENCHTIME
 # controls depth; bench-smoke is the CI-speed variant (one iteration per
-# benchmark: verifies the benchmarks run, produces no timing signal).
+# benchmark: verifies the benchmarks run, produces no timing signal, and
+# writes bench_current.json so it cannot overwrite the BENCHBASE file).
 BENCHTIME ?= 1s
-BENCHOUT  ?= BENCH_pr10.json
+BENCHOUT  ?= BENCH_pr13.json
 
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run xxx ./pbio/ ./internal/dcg/ \
@@ -82,7 +83,7 @@ bench:
 	@echo "wrote $(BENCHOUT)"
 
 bench-smoke:
-	$(MAKE) bench BENCHTIME=1x
+	$(MAKE) bench BENCHTIME=1x BENCHOUT=bench_current.json
 
 # bench-compare re-runs the benchmarks and diffs them against the
 # checked-in baseline (BENCHBASE): allocs/op must not grow at all, B/op
@@ -91,7 +92,7 @@ bench-smoke:
 # (1x smoke artifacts make allocs/op meaningless); COMPAREFLAGS tunes
 # the thresholds — CI passes -ns-threshold=-1 because the baseline's
 # wall-clock numbers come from different hardware.
-BENCHBASE        ?= BENCH_pr5.json
+BENCHBASE        ?= BENCH_pr13.json
 COMPAREBENCHTIME ?= 5000x
 COMPAREFLAGS     ?=
 

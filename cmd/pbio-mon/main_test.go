@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -59,6 +60,13 @@ type relayProc struct {
 
 // startRelay launches pbio-relay on ephemeral ports and parses the
 // announce lines off stdout.
+//
+// The test owns the child outright, so no failure here can wedge
+// `go test`: the child leads its own process group and cleanup kills the
+// group; its stderr goes to a file (shown when the test fails), never to
+// the pipe `go test` reads from this binary — a child that outlives the
+// test would hold that pipe open and `go test` would wait on it; and
+// WaitDelay bounds Wait on the stdout pipe should anything keep it open.
 func startRelay(t *testing.T, bin string, extra ...string) *relayProc {
 	t.Helper()
 	args := append([]string{
@@ -67,17 +75,28 @@ func startRelay(t *testing.T, bin string, extra ...string) *relayProc {
 		"-metrics-addr", "127.0.0.1:0",
 	}, extra...)
 	cmd := exec.Command(bin, args...)
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.WaitDelay = 5 * time.Second
+	stderr, err := os.CreateTemp(t.TempDir(), "pbio-relay-stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		cmd.Process.Kill()
+		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
 		cmd.Wait()
+		stderr.Close()
+		if t.Failed() {
+			log, _ := os.ReadFile(stderr.Name())
+			t.Logf("pbio-relay %v stderr:\n%s", extra, log)
+		}
 	})
 
 	p := &relayProc{}
@@ -171,6 +190,20 @@ func TestMonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer consConn.Close()
+	// Dial returns once the kernel has queued the connection; a relay
+	// forwards only to consumers it has registered, so records produced
+	// before then would be lost and the reads below would never return.
+	// Wait for the whole path (root → leaf → this consumer) to be on the
+	// books, and bound the reads anyway.
+	waitUntil(t, "root to register the leaf and the leaf this consumer", func() bool {
+		topo, err := meshmon.Crawl(root.metricsAddr, nil)
+		if err != nil {
+			return false
+		}
+		rn, ln := topo.Nodes[root.metricsAddr], topo.Nodes[leaf.metricsAddr]
+		return rn != nil && ln != nil && len(rn.Info.Consumers) == 1 && len(ln.Info.Consumers) == 1
+	})
+	consConn.SetReadDeadline(time.Now().Add(15 * time.Second))
 	prodConn, err := net.Dial("tcp", root.prodAddr)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@
 //   - closures that capture variables;
 //   - interface boxing of non-pointer values at call arguments;
 //   - append to a slice declared empty in the same function;
-//   - make, new, and map/chan composite allocations.
+//   - make, new, &T{...}, and map/chan composite allocations.
 //
 // Error paths are expected to allocate: any block ending by returning a
 // non-nil error (or panicking) is cold and exempt.  A site that is
@@ -290,6 +290,10 @@ func (w *walker) expr(e ast.Expr) {
 			}
 		case *ast.CallExpr:
 			w.call(n)
+		case *ast.UnaryExpr:
+			if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
+				w.add(n.Pos(), "address of composite literal (allocates when it escapes)")
+			}
 		case *ast.CompositeLit:
 			if tv, ok := w.pass.TypesInfo.Types[n]; ok && tv.Type != nil {
 				switch tv.Type.Underlying().(type) {

@@ -84,6 +84,16 @@ func growsEmpty(xs []int) int {
 	return len(out)
 }
 
+type header struct{ buf []byte }
+
+// freshHeader returns a new header per call where a caller-owned,
+// reused one would do.
+//
+//pbio:hotpath noalloc=0 fixture
+func freshHeader(b []byte) *header {
+	return &header{buf: b} // want `address of composite literal \(allocates when it escapes\) in //pbio:hotpath noalloc=0 function freshHeader`
+}
+
 // notAnnotated is free to allocate: no budget, no diagnostics.
 func notAnnotated(n int) []byte {
 	return make([]byte, n)

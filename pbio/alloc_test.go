@@ -119,11 +119,51 @@ func TestAllocsHomogeneousView(t *testing.T) {
 		}
 		_ = rec
 	})
-	// Budget: the returned *Record view is the only per-message
-	// allocation left on this path.
-	const budget = 1
-	if got > budget {
-		t.Errorf("homogeneous view costs %.1f allocs per record, budget %d", got, budget)
+	if got > 0 {
+		t.Errorf("homogeneous view costs %.1f allocs per record, want 0 (reader-owned message and record, memoised layout verdict)", got)
+	}
+}
+
+// TestAllocsBatchedView pins what an application consuming homogeneous
+// batch frames writes — Read + View per record — at zero allocations.
+// One measured run is a whole pass over the stream (the meta frame again,
+// then four 64-record batch frames), so a single allocation anywhere in
+// it, frame boundaries included, fails the pin.
+func TestAllocsBatchedView(t *testing.T) {
+	ctx := ctxFor(t, "x86-64")
+	f, err := ctx.Register("tick", benchTickFields()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames, batch = 4, 64
+	recs := make([]*Record, batch)
+	for i := range recs {
+		recs[i] = f.NewRecord()
+	}
+	var stream bytes.Buffer
+	w := ctx.NewWriter(&stream)
+	for i := 0; i < frames; i++ {
+		if err := w.WriteBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := ctx.NewReader(&streamReader{raw: stream.Bytes()})
+	defer r.Close()
+	pass := func() {
+		for i := 0; i < frames*batch; i++ {
+			m, err := r.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := m.View(f); err != nil || !ok {
+				t.Fatalf("View: %v %v", ok, err)
+			}
+		}
+	}
+	pass() // warm-up: receive buffer growth, first meta decode, layout memo
+	if got := testing.AllocsPerRun(20, pass); got > 0 {
+		t.Errorf("batched Read+View costs %.0f allocs per %d records, want 0", got, frames*batch)
 	}
 }
 

@@ -33,6 +33,12 @@ func BenchmarkWrite(b *testing.B) {
 
 // BenchmarkReadDecode measures the full receive path: framing, meta
 // lookup, generated conversion into an owned record.
+//
+// Every iteration is a cold start — a fresh Reader, bytes.Reader, pooled
+// receive buffer and per-stream format table, plus the meta frame's
+// decode — and that set-up is where all of its allocs/op come from.
+// They are per stream, not per record: the steady state is pinned at 0
+// by TestAllocsDCGDecode (alloc_test.go).
 func BenchmarkReadDecode(b *testing.B) {
 	sctx, err := NewContext(WithArch("sparc-v8"))
 	if err != nil {
@@ -76,6 +82,12 @@ func BenchmarkReadDecode(b *testing.B) {
 }
 
 // BenchmarkHomogeneousView measures the zero-copy receive path.
+//
+// Like BenchmarkReadDecode it opens a new stream every iteration, so its
+// allocs/op are the per-stream set-up (Reader, bytes.Reader, receive
+// buffer, format table, meta decode), not a hot-path leak: steady-state
+// Read + View is pinned at 0 by TestAllocsHomogeneousView and
+// TestAllocsBatchedView (alloc_test.go).
 func BenchmarkHomogeneousView(b *testing.B) {
 	ctx, err := NewContext(WithArch("x86"))
 	if err != nil {

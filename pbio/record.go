@@ -1,10 +1,6 @@
 package pbio
 
-import (
-	"fmt"
-
-	"repro/internal/native"
-)
+import "repro/internal/native"
 
 // Record is a native record image: the exact bytes a C program on the
 // context's architecture would hold in memory, and the exact bytes a
@@ -143,13 +139,4 @@ func (r *Record) fieldValue(fi FieldInfo) any {
 		}
 		return vs
 	}
-}
-
-// view wraps a buffer as a record of this format without copying.
-func (f *Format) view(buf []byte) (*Record, error) {
-	if len(buf) < f.wf.Size {
-		return nil, fmt.Errorf("pbio: buffer of %d bytes too small for %d-byte format %q",
-			len(buf), f.wf.Size, f.wf.Name)
-	}
-	return &Record{fmt: f, rec: native.Record{Format: f.wf, Buf: buf[:f.wf.Size]}}, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/convert"
 	"repro/internal/dcg"
+	"repro/internal/native"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -174,6 +175,14 @@ type Reader struct {
 	memoNF   *wire.Format
 	memoProg *dcg.Program
 	memoPlan *convert.Plan
+
+	// Layout memo: the last (wire format, expected layout) pair View
+	// compared and wire.SameLayout's verdict on it, either outcome.  The
+	// verdict cannot change while both pointers are the same, so the deep
+	// field-by-field compare runs once per pair, not once per record.
+	viewWF   *wire.Format
+	viewNF   *wire.Format
+	viewSame bool
 }
 
 // NewReader returns a Reader over r.  Like NewWriter, the body stays
@@ -217,6 +226,8 @@ func (r *Reader) Close() error { return r.tr.Close() }
 // Read call — the same lifetime its data already had (it aliases the
 // receive buffer).  Decode into an owned Record (or struct) to keep a
 // record longer.
+//
+//pbio:hotpath noalloc=0 steady-state receive path; pinned by pbio/alloc_test.go (TestAllocsHomogeneousView, TestAllocsBatchedView, TestAllocsDCGDecode)
 func (r *Reader) Read() (*Message, error) {
 	msg := &r.cur
 	msg.ctx, msg.r = r.ctx, r
@@ -234,12 +245,18 @@ func (r *Reader) Read() (*Message, error) {
 // Message is one received record: the sender's native bytes plus the
 // sender's format description.  The underlying data aliases the Reader's
 // receive buffer, and the Message itself is reused by the Reader: both
-// are valid until the next Read call.  Decode into an owned Record (or
-// struct) to keep it longer.
+// are valid until the next Read call, and the record View returns until
+// the next Read or the next View on that reader.  Decode into an owned
+// Record (or struct) to keep it longer.
 type Message struct {
 	ctx *Context
-	r   *Reader // conversion memo lives on the reader; nil in tests that fake messages
+	r   *Reader // conversion and layout memos live on the reader; nil in tests that fake messages
 	msg transport.Message
+
+	// view is the reusable record View returns — like Reader.cur and
+	// RecordBatch.cur, one struct serves the reader's lifetime (the
+	// Message is the reader's), so viewing allocates nothing.
+	view Record
 
 	// Wire-carried trace context (see trace.go).  traced is set only when
 	// the sender sampled this record and this context has tracing enabled.
@@ -268,8 +285,19 @@ func (m *Message) DescribeFormat() string { return m.msg.Format.String() }
 // SameLayout reports whether the incoming record's layout is identical to
 // the expected format's — the homogeneous fast path, where the record is
 // usable straight out of the receive buffer.
-func (m *Message) SameLayout(f *Format) bool {
-	return wire.SameLayout(m.msg.Format, f.wf)
+func (m *Message) SameLayout(f *Format) bool { return m.sameLayout(f.wf) }
+
+// sameLayout is wire.SameLayout(m.msg.Format, nf) behind the reader's
+// layout memo.
+func (m *Message) sameLayout(nf *wire.Format) bool {
+	if r := m.r; r != nil && r.viewWF == m.msg.Format && r.viewNF == nf {
+		return r.viewSame
+	}
+	same := wire.SameLayout(m.msg.Format, nf)
+	if r := m.r; r != nil {
+		r.viewWF, r.viewNF, r.viewSame = m.msg.Format, nf, same
+	}
+	return same
 }
 
 // Decode converts the message into an owned record of the expected
@@ -296,21 +324,30 @@ func (m *Message) DecodeInto(expected *Format, out *Record) error {
 // View returns the message decoded as a record of the expected format
 // without copying, when the layouts are identical (the zero-copy
 // homogeneous path).  The returned record aliases the receive buffer and
-// is valid only until the next Read.  ok is false when conversion would
-// be required; use Decode then.
+// is owned by the Reader, which reuses it: it is valid only until the
+// next Read or the next View on that reader.  ok is false when
+// conversion would be required; use Decode then.  A refused View leaves
+// a previously returned record untouched.
+//
+//pbio:hotpath noalloc=0 homogeneous receive path: two pointer compares and a record header store; pinned by pbio/alloc_test.go (TestAllocsHomogeneousView, TestAllocsBatchedView)
 func (m *Message) View(expected *Format) (rec *Record, ok bool, err error) {
 	if m.traced {
 		return m.viewTraced(expected)
 	}
-	if !m.SameLayout(expected) {
+	if !m.sameLayout(expected.wf) {
 		return nil, false, nil
 	}
-	rec, err = expected.view(m.msg.Data)
-	if err != nil {
-		return nil, false, err
-	}
 	expected.met.decZero.Inc()
-	return rec, true, nil
+	return m.viewAs(expected), true, nil
+}
+
+// viewAs points the reusable record at the message's leading
+// expected.wf.Size bytes.  Callers have established that the layouts
+// agree, so the data is at least that long.
+func (m *Message) viewAs(expected *Format) *Record {
+	m.view.fmt = expected
+	m.view.rec = native.Record{Format: expected.wf, Buf: m.msg.Data[:expected.wf.Size]}
+	return &m.view
 }
 
 // program returns the generated conversion program from the message's

@@ -238,14 +238,11 @@ func (m *Message) recSpan(name string, start, end time.Time, path string) {
 // place exactly like an untraced homogeneous record.
 func (m *Message) viewTraced(expected *Format) (*Record, bool, error) {
 	twf, _, err := expected.tracedFormat()
-	if err != nil || !wire.SameLayout(m.msg.Format, twf) {
+	if err != nil || !m.sameLayout(twf) {
 		return nil, false, nil
 	}
 	t0 := time.Now()
-	rec, err := expected.view(m.msg.Data[:expected.wf.Size])
-	if err != nil {
-		return nil, false, err
-	}
+	rec := m.viewAs(expected)
 	expected.met.decZero.Inc()
 	m.recSpan(tracectx.PhaseView, t0, time.Now(), "zero_copy")
 	return rec, true, nil

@@ -210,6 +210,10 @@ func TestTracedZeroCopyView(t *testing.T) {
 	if !ok {
 		t.Fatal("homogeneous traced message refused zero-copy view")
 	}
+	if view != &m.view || len(view.Bytes()) != rf.Size() {
+		t.Fatalf("traced view is %p with %d bytes, want the reader-owned record %p over the %d-byte base record",
+			view, len(view.Bytes()), &m.view, rf.Size())
+	}
 	if x, _ := view.Int("x", 0); x != 77 {
 		t.Fatalf("viewed x = %d, want 77", x)
 	}
