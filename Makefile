@@ -69,16 +69,16 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadJournal -fuzztime 20s ./internal/flightrec/
 	$(GO) test -run xxx -fuzz FuzzConvertBatch -fuzztime 20s ./internal/dcg/
 
-# bench runs the perf-trajectory benchmarks (pbio public API + DCG
-# engine) and stores them as a machine-readable artifact.  BENCHTIME
-# controls depth; bench-smoke is the CI-speed variant (one iteration per
+# bench runs the perf-trajectory benchmarks (pbio public API, DCG
+# engine, wire formats and field lookup) and stores them as a
+# machine-readable artifact.  BENCHTIME controls depth; bench-smoke is the CI-speed variant (one iteration per
 # benchmark: verifies the benchmarks run, produces no timing signal, and
 # writes bench_current.json so it cannot overwrite the BENCHBASE file).
 BENCHTIME ?= 1s
-BENCHOUT  ?= BENCH_pr13.json
+BENCHOUT  ?= BENCH_pr15.json
 
 bench:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run xxx ./pbio/ ./internal/dcg/ \
+	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run xxx ./pbio/ ./internal/dcg/ ./internal/wire/ \
 		| $(GO) run ./cmd/benchjson > $(BENCHOUT)
 	@echo "wrote $(BENCHOUT)"
 
@@ -92,7 +92,7 @@ bench-smoke:
 # (1x smoke artifacts make allocs/op meaningless); COMPAREFLAGS tunes
 # the thresholds — CI passes -ns-threshold=-1 because the baseline's
 # wall-clock numbers come from different hardware.
-BENCHBASE        ?= BENCH_pr13.json
+BENCHBASE        ?= BENCH_pr15.json
 COMPAREBENCHTIME ?= 5000x
 COMPAREFLAGS     ?=
 

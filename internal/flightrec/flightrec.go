@@ -78,12 +78,11 @@ var (
 )
 
 func fieldOffset(name string) int {
-	for i := range journalFormat.Fields {
-		if journalFormat.Fields[i].Name == name {
-			return journalFormat.Fields[i].Offset
-		}
+	c := journalFormat.Cursor(name)
+	if c == nil {
+		panic("flightrec: schema field missing: " + name)
 	}
-	panic("flightrec: schema field missing: " + name)
+	return c.Off
 }
 
 // Recorder is a bounded in-memory event journal.  All methods are safe

@@ -273,111 +273,51 @@ func ReadJournal(rd io.Reader) ([]Event, error) {
 	}
 }
 
-// journalDecoder resolves the journal fields of one wire format by
-// name, validating types and bounds once so per-record decoding is a
-// few loads.  Missing fields decode as zero — a v2 journal read by
-// this build, or vice versa, degrades instead of failing.
+// journalDecoder holds the journal fields of one wire format as
+// wire.Cursors, resolved by name once (DESIGN "Field access") so
+// per-record decoding is a few loads.  A missing field is the zero
+// Cursor, which loads as zero — a v2 journal read by this build, or
+// vice versa, degrades instead of failing.
 type journalDecoder struct {
-	order                       abi.Endian
 	size                        int
-	ts, trace, arg1, arg2, kind intField
-	node, subject               charField
-}
-
-// intField locates one scalar integer field (absent when !ok).
-type intField struct {
-	off, width int
-	ok         bool
-}
-
-// charField locates one char-array field (absent when n == 0).
-type charField struct {
-	off, n int
+	ts, trace, arg1, arg2, kind wire.Cursor // scalar integers
+	node, subject               wire.Cursor // char arrays
 }
 
 func newJournalDecoder(f *wire.Format) (*journalDecoder, error) {
 	if f.Order != abi.BigEndian && f.Order != abi.LittleEndian {
 		return nil, fmt.Errorf("flightrec: journal format has invalid byte order")
 	}
-	d := &journalDecoder{order: f.Order, size: f.Size}
-	for i := range f.Fields {
-		fl := &f.Fields[i]
-		switch fl.Name {
-		case "ts_nanos":
-			d.ts = intAt(fl, f.Size)
-		case "trace":
-			d.trace = intAt(fl, f.Size)
-		case "arg1":
-			d.arg1 = intAt(fl, f.Size)
-		case "arg2":
-			d.arg2 = intAt(fl, f.Size)
-		case "kind":
-			d.kind = intAt(fl, f.Size)
-		case "node":
-			d.node = charAt(fl, f.Size)
-		case "subject":
-			d.subject = charAt(fl, f.Size)
-		}
-	}
-	return d, nil
+	return &journalDecoder{
+		size:    f.Size,
+		ts:      journalField(f, "ts_nanos", false),
+		trace:   journalField(f, "trace", false),
+		arg1:    journalField(f, "arg1", false),
+		arg2:    journalField(f, "arg2", false),
+		kind:    journalField(f, "kind", false),
+		node:    journalField(f, "node", true),
+		subject: journalField(f, "subject", true),
+	}, nil
 }
 
-// intAt validates fl as a scalar integer field within a size-byte
-// record.  Anything else — wrong type, array, out of bounds — reads as
-// absent rather than erroring, keeping the reader robust to corrupt or
-// evolved meta.
-func intAt(fl *wire.Field, size int) intField {
-	if fl.IsStruct() || !fl.Type.Integer() || fl.Count != 1 {
-		return intField{}
+// journalField resolves name as a char array (chars) or a scalar
+// integer lying inside the record.  Anything else — no such field,
+// wrong type, array, out of bounds — is the zero Cursor: absent rather
+// than an error, keeping the reader robust to corrupt or evolved meta.
+// (An integer of odd width needs no check here: it loads as zero.)
+func journalField(f *wire.Format, name string, chars bool) wire.Cursor {
+	c := f.Cursor(name)
+	if c == nil || !c.Fits {
+		return wire.Cursor{}
 	}
-	switch fl.Size {
-	case 1, 2, 4, 8:
-	default:
-		return intField{}
+	ok := c.Kind == wire.KindChar && c.Size == 1 && c.Count >= 1
+	if !chars {
+		ok = (c.Kind == wire.KindSigned || c.Kind == wire.KindUnsigned) && c.Count == 1
 	}
-	if fl.Offset < 0 || fl.End() > size {
-		return intField{}
+	if !ok {
+		return wire.Cursor{}
 	}
-	return intField{off: fl.Offset, width: fl.Size, ok: true}
-}
-
-// charAt validates fl as a char array within a size-byte record.
-func charAt(fl *wire.Field, size int) charField {
-	if fl.IsStruct() || fl.Type != abi.Char || fl.Size != 1 || fl.Count < 1 {
-		return charField{}
-	}
-	if fl.Offset < 0 || fl.End() > size {
-		return charField{}
-	}
-	return charField{off: fl.Offset, n: fl.Count}
-}
-
-func (d *journalDecoder) uintOf(b []byte, f intField) uint64 {
-	if !f.ok {
-		return 0
-	}
-	return d.order.Uint(b[f.off:], f.width)
-}
-
-func (d *journalDecoder) intOf(b []byte, f intField) int64 {
-	if !f.ok {
-		return 0
-	}
-	return d.order.Int(b[f.off:], f.width)
-}
-
-func (d *journalDecoder) stringOf(b []byte, f charField) string {
-	if f.n == 0 {
-		return ""
-	}
-	s := b[f.off : f.off+f.n]
-	for i, c := range s {
-		if c == 0 {
-			s = s[:i]
-			break
-		}
-	}
-	return string(s)
+	return *c
 }
 
 func (d *journalDecoder) decode(b []byte) (Event, error) {
@@ -385,13 +325,13 @@ func (d *journalDecoder) decode(b []byte) (Event, error) {
 		return Event{}, fmt.Errorf("flightrec: journal record %d bytes, format says %d", len(b), d.size)
 	}
 	return Event{
-		TS:      int64(d.uintOf(b, d.ts)),
-		Node:    d.stringOf(b, d.node),
-		Kind:    Kind(int32(d.intOf(b, d.kind))),
-		Subject: d.stringOf(b, d.subject),
-		Trace:   d.uintOf(b, d.trace),
-		Arg1:    d.intOf(b, d.arg1),
-		Arg2:    d.intOf(b, d.arg2),
+		TS:      int64(d.ts.Uint(b, 0)),
+		Node:    d.node.CString(b),
+		Kind:    Kind(int32(d.kind.Int(b, 0))),
+		Subject: d.subject.CString(b),
+		Trace:   d.trace.Uint(b, 0),
+		Arg1:    d.arg1.Int(b, 0),
+		Arg2:    d.arg2.Int(b, 0),
 	}, nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/abi"
 	"repro/internal/wire"
 )
 
@@ -45,159 +44,155 @@ func (r *Record) Clone() *Record {
 	return &Record{Format: r.Format, Buf: buf}
 }
 
-func (r *Record) field(name string) (*wire.Field, error) {
-	f := r.Format.FieldByName(name)
-	if f == nil {
-		return nil, fmt.Errorf("native: format %q has no field %q", r.Format.Name, name)
-	}
-	return f, nil
+// Every accessor below resolves its field name through the format's
+// cursor table (wire.Format.Cursor), the one by-name lookup there is.
+
+func (r *Record) noField(name string) error {
+	return fmt.Errorf("native: format %q has no field %q", r.Format.Name, name)
 }
 
-func (r *Record) elem(f *wire.Field, i int) ([]byte, error) {
-	if i < 0 || i >= f.Count {
-		return nil, fmt.Errorf("native: index %d out of range for field %q[%d]", i, f.Name, f.Count)
-	}
-	off := f.Offset + i*f.Size
-	return r.Buf[off : off+f.Size], nil
+func rangeErr(c *wire.Cursor, i int) error {
+	return fmt.Errorf("native: index %d out of range for field %q[%d]", i, c.Field.Name, c.Count)
 }
 
 // SetInt stores a signed integer into element i of the named field,
 // truncating to the field's element size as a C assignment would.
+//
+//pbio:hotpath noalloc=0 one wire.Cursor lookup, two checks, one store; pinned by pbio/alloc_test.go TestAllocsRecordAccessors
 func (r *Record) SetInt(name string, i int, v int64) error {
-	f, err := r.field(name)
-	if err != nil {
-		return err
+	c := r.Format.Cursor(name)
+	if c == nil {
+		return r.noField(name)
 	}
-	if f.IsStruct() || (!f.Type.Integer() && f.Type != abi.Char) {
+	if !c.Kind.Integer() {
 		return fmt.Errorf("native: field %q is not an integer field", name)
 	}
-	b, err := r.elem(f, i)
-	if err != nil {
-		return err
+	if !c.InRange(i) {
+		return rangeErr(c, i)
 	}
-	r.Format.Order.PutInt(b, f.Size, v)
+	c.PutUint(r.Buf, i, uint64(v))
 	return nil
 }
 
 // Int loads element i of the named integer field, sign-extending signed
 // types and zero-extending unsigned ones.
+//
+//pbio:hotpath noalloc=0 one wire.Cursor lookup, two checks, one load; pinned by pbio/alloc_test.go TestAllocsRecordAccessors
 func (r *Record) Int(name string, i int) (int64, error) {
-	f, err := r.field(name)
-	if err != nil {
-		return 0, err
+	c := r.Format.Cursor(name)
+	if c == nil {
+		return 0, r.noField(name)
 	}
-	if f.IsStruct() || (!f.Type.Integer() && f.Type != abi.Char) {
+	if !c.Kind.Integer() {
 		return 0, fmt.Errorf("native: field %q is not an integer field", name)
 	}
-	b, err := r.elem(f, i)
-	if err != nil {
-		return 0, err
+	if !c.InRange(i) {
+		return 0, rangeErr(c, i)
 	}
-	if f.Type.Signed() {
-		return r.Format.Order.Int(b, f.Size), nil
+	if c.Kind == wire.KindSigned {
+		return c.Int(r.Buf, i), nil
 	}
-	return int64(r.Format.Order.Uint(b, f.Size)), nil
+	return int64(c.Uint(r.Buf, i)), nil
 }
 
 // SetFloat stores a floating-point value into element i of the named
 // field (narrowing to float32 for 4-byte fields).
+//
+//pbio:hotpath noalloc=0 one wire.Cursor lookup, three checks, one store; pinned by pbio/alloc_test.go TestAllocsRecordAccessors
 func (r *Record) SetFloat(name string, i int, v float64) error {
-	f, err := r.field(name)
-	if err != nil {
-		return err
+	c := r.Format.Cursor(name)
+	if c == nil {
+		return r.noField(name)
 	}
-	if f.IsStruct() || !f.Type.Floating() {
+	if c.Kind != wire.KindFloat {
 		return fmt.Errorf("native: field %q is not a floating-point field", name)
 	}
-	b, err := r.elem(f, i)
-	if err != nil {
-		return err
+	if !c.InRange(i) {
+		return rangeErr(c, i)
 	}
-	switch f.Size {
+	switch c.Size {
 	case 4:
-		r.Format.Order.PutUint32(b, math.Float32bits(float32(v)))
+		c.PutUint(r.Buf, i, uint64(math.Float32bits(float32(v))))
 	case 8:
-		r.Format.Order.PutUint64(b, math.Float64bits(v))
+		c.PutUint(r.Buf, i, math.Float64bits(v))
 	default:
-		return fmt.Errorf("native: field %q has float size %d", name, f.Size)
+		return fmt.Errorf("native: field %q has float size %d", name, c.Size)
 	}
 	return nil
 }
 
 // Float loads element i of the named floating-point field.
+//
+//pbio:hotpath noalloc=0 one wire.Cursor lookup, three checks, one load; pinned by pbio/alloc_test.go TestAllocsRecordAccessors
 func (r *Record) Float(name string, i int) (float64, error) {
-	f, err := r.field(name)
-	if err != nil {
-		return 0, err
+	c := r.Format.Cursor(name)
+	if c == nil {
+		return 0, r.noField(name)
 	}
-	if f.IsStruct() || !f.Type.Floating() {
+	if c.Kind != wire.KindFloat {
 		return 0, fmt.Errorf("native: field %q is not a floating-point field", name)
 	}
-	b, err := r.elem(f, i)
-	if err != nil {
-		return 0, err
+	if !c.InRange(i) {
+		return 0, rangeErr(c, i)
 	}
-	switch f.Size {
+	switch c.Size {
 	case 4:
-		return float64(math.Float32frombits(r.Format.Order.Uint32(b))), nil
+		return float64(math.Float32frombits(uint32(c.Uint(r.Buf, i)))), nil
 	case 8:
-		return math.Float64frombits(r.Format.Order.Uint64(b)), nil
+		return math.Float64frombits(c.Uint(r.Buf, i)), nil
 	}
-	return 0, fmt.Errorf("native: field %q has float size %d", name, f.Size)
+	return 0, fmt.Errorf("native: field %q has float size %d", name, c.Size)
+}
+
+// chars resolves name as a char-array field.
+func (r *Record) chars(name string) (*wire.Cursor, error) {
+	c := r.Format.Cursor(name)
+	if c == nil {
+		return nil, r.noField(name)
+	}
+	if c.Kind != wire.KindChar {
+		return nil, fmt.Errorf("native: field %q is not a char field", name)
+	}
+	return c, nil
 }
 
 // SetString stores s into a char-array field, NUL-padding (and silently
 // truncating) to the field length, C-style.
 func (r *Record) SetString(name, s string) error {
-	f, err := r.field(name)
+	c, err := r.chars(name)
 	if err != nil {
 		return err
 	}
-	if f.IsStruct() || f.Type != abi.Char {
-		return fmt.Errorf("native: field %q is not a char field", name)
-	}
-	dst := r.Buf[f.Offset : f.Offset+f.Count]
-	n := copy(dst, s)
-	for ; n < len(dst); n++ {
-		dst[n] = 0
-	}
+	dst := c.Bytes(r.Buf)
+	clear(dst[copy(dst, s):])
 	return nil
 }
 
 // String loads a char-array field as a string, stopping at the first NUL.
 func (r *Record) String(name string) (string, error) {
-	f, err := r.field(name)
+	c, err := r.chars(name)
 	if err != nil {
 		return "", err
 	}
-	if f.IsStruct() || f.Type != abi.Char {
-		return "", fmt.Errorf("native: field %q is not a char field", name)
-	}
-	b := r.Buf[f.Offset : f.Offset+f.Count]
-	for i, c := range b {
-		if c == 0 {
-			return string(b[:i]), nil
-		}
-	}
-	return string(b), nil
+	return c.CString(r.Buf), nil
 }
 
 // Sub returns element i of a nested-structure field as a Record view
 // aliasing this record's buffer: reads and writes through it access the
 // containing record directly.
 func (r *Record) Sub(name string, i int) (*Record, error) {
-	f, err := r.field(name)
-	if err != nil {
-		return nil, err
+	c := r.Format.Cursor(name)
+	if c == nil {
+		return nil, r.noField(name)
 	}
-	if !f.IsStruct() {
-		return nil, fmt.Errorf("native: field %q is %v, not a structure", name, f.Type)
+	if c.Kind != wire.KindStruct {
+		return nil, fmt.Errorf("native: field %q is %v, not a structure", name, c.Field.Type)
 	}
-	if i < 0 || i >= f.Count {
-		return nil, fmt.Errorf("native: index %d out of range for field %q[%d]", i, f.Name, f.Count)
+	if !c.InRange(i) {
+		return nil, rangeErr(c, i)
 	}
-	off := f.Offset + i*f.Size
-	return &Record{Format: f.Sub, Buf: r.Buf[off : off+f.Size]}, nil
+	off := c.Off + i*c.Size
+	return &Record{Format: c.Field.Sub, Buf: r.Buf[off : off+c.Size]}, nil
 }
 
 // MustSub is Sub that panics on error.
@@ -211,11 +206,11 @@ func (r *Record) MustSub(name string, i int) *Record {
 
 // Bytes returns the raw field bytes (aliasing the record buffer).
 func (r *Record) Bytes(name string) ([]byte, error) {
-	f, err := r.field(name)
-	if err != nil {
-		return nil, err
+	c := r.Format.Cursor(name)
+	if c == nil {
+		return nil, r.noField(name)
 	}
-	return r.Buf[f.Offset:f.End()], nil
+	return c.Bytes(r.Buf), nil
 }
 
 // MustSetInt is SetInt that panics on error, for test/benchmark fixtures.

@@ -242,3 +242,67 @@ func TestMustSettersPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestAccessorErrorTexts pins every accessor's error text byte for byte:
+// the accessors resolve names through wire.Cursor, and applications (and
+// the benchmark oracle) match on what they always said.
+func TestAccessorErrorTexts(t *testing.T) {
+	s := mixedSchema()
+	s.Fields = append(s.Fields, wire.FieldSpec{Name: "pos", Count: 2, Sub: &wire.Schema{
+		Name: "point", Fields: []wire.FieldSpec{{Name: "x", Type: abi.Double, Count: 1}},
+	}})
+	r := New(wire.MustLayout(s, &abi.SparcV8))
+	// A floating-point field of a width Validate rejects: only a Format
+	// literal can carry one.
+	half := New(&wire.Format{Name: "half", Order: abi.BigEndian, Size: 2, Fields: []wire.Field{
+		{Name: "h", Type: abi.Float, Count: 1, Size: 2},
+	}})
+	errOf := func(_ any, err error) error { return err }
+	for _, c := range []struct {
+		call string
+		err  error
+		want string
+	}{
+		{"SetInt missing", r.SetInt("nope", 0, 1), `native: format "mixed" has no field "nope"`},
+		{"Int missing", errOf(r.Int("nope", 0)), `native: format "mixed" has no field "nope"`},
+		{"SetFloat missing", r.SetFloat("", 0, 1), `native: format "mixed" has no field ""`},
+		{"Float missing", errOf(r.Float("value", 0)), `native: format "mixed" has no field "value"`},
+		{"SetString missing", r.SetString("tags", "x"), `native: format "mixed" has no field "tags"`},
+		{"String missing", errOf(r.String("ta")), `native: format "mixed" has no field "ta"`},
+		{"Sub missing", errOf(r.Sub("po", 0)), `native: format "mixed" has no field "po"`},
+		{"Bytes missing", errOf(r.Bytes("nope")), `native: format "mixed" has no field "nope"`},
+
+		{"SetInt on double", r.SetInt("timestamp", 0, 1), `native: field "timestamp" is not an integer field`},
+		{"Int on float", errOf(r.Int("residual", 0)), `native: field "residual" is not an integer field`},
+		{"SetInt on struct", r.SetInt("pos", 0, 1), `native: field "pos" is not an integer field`},
+		{"Int on struct", errOf(r.Int("pos", 0)), `native: field "pos" is not an integer field`},
+		{"SetFloat on long", r.SetFloat("iter", 0, 1), `native: field "iter" is not a floating-point field`},
+		{"Float on char", errOf(r.Float("tag", 0)), `native: field "tag" is not a floating-point field`},
+		{"Float on struct", errOf(r.Float("pos", 0)), `native: field "pos" is not a floating-point field`},
+		{"SetString on int", r.SetString("node", "x"), `native: field "node" is not a char field`},
+		{"String on double", errOf(r.String("values")), `native: field "values" is not a char field`},
+		{"String on struct", errOf(r.String("pos")), `native: field "pos" is not a char field`},
+		{"Sub on int", errOf(r.Sub("node", 0)), `native: field "node" is int, not a structure`},
+
+		{"SetInt index", r.SetInt("node", 1, 1), `native: index 1 out of range for field "node"[1]`},
+		{"Int index", errOf(r.Int("tag", 16)), `native: index 16 out of range for field "tag"[16]`},
+		{"SetFloat index", r.SetFloat("values", -1, 1), `native: index -1 out of range for field "values"[4]`},
+		{"Float index", errOf(r.Float("values", 4)), `native: index 4 out of range for field "values"[4]`},
+		{"Sub index", errOf(r.Sub("pos", 2)), `native: index 2 out of range for field "pos"[2]`},
+
+		{"SetFloat width", half.SetFloat("h", 0, 1), `native: field "h" has float size 2`},
+		{"Float width", errOf(half.Float("h", 0)), `native: field "h" has float size 2`},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s: error %v, want %s", c.call, c.err, c.want)
+		}
+	}
+	// What must keep working beside them: char fields are integer fields
+	// too, and the last element is in range.
+	if err := r.SetInt("tag", 15, 'z'); err != nil {
+		t.Error(err)
+	}
+	if v, err := r.Int("tag", 15); err != nil || v != 'z' {
+		t.Errorf("Int(tag, 15) = %d, %v", v, err)
+	}
+}

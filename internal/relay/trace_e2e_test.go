@@ -88,6 +88,10 @@ func TestTraceE2EThroughRelay(t *testing.T) {
 	rec.MustSetInt("seq", 0, 42)
 	rec.MustSetFloat("v", 0, 0.5)
 
+	// A live broadcast reaches only registered consumers: wait until the
+	// relay has accepted ours, or the one record is delivered to nobody.
+	waitFor(t, "the relay to register the consumer", func() bool { return s.Consumers() == 1 })
+
 	t0 := time.Now()
 	if err := w.Write(rec); err != nil {
 		t.Fatal(err)

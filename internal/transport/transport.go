@@ -229,6 +229,11 @@ type Writer struct {
 	reg  *wire.Registry
 	sent map[uint32]bool         // format IDs whose meta has been transmitted
 	ids  map[*wire.Format]uint32 // fast path: formats already registered
+	// lastFmt/lastID memoise ensureFormat's last answer.  sent and ids
+	// only ever grow, so the memo never needs invalidating.
+	lastFmt *wire.Format
+	lastID  uint32
+
 	hdr  [frameHeaderSize]byte
 	sum  [4]byte // reused checksum prefix (must outlive the vectored write)
 	meta []byte  // reused meta encoding buffer
@@ -352,6 +357,9 @@ func NewWriter(w io.Writer) *Writer {
 // ensureFormat registers f (first use) and transmits its meta-information
 // (first record), returning the stream-local format ID.
 func (t *Writer) ensureFormat(f *wire.Format) (uint32, error) {
+	if f == t.lastFmt {
+		return t.lastID, nil
+	}
 	id, known := t.ids[f]
 	if !known {
 		var err error
@@ -360,35 +368,38 @@ func (t *Writer) ensureFormat(f *wire.Format) (uint32, error) {
 		}
 		t.ids[f] = id
 	}
-	if t.sent[id] {
-		return id, nil
+	if !t.sent[id] {
+		if err := t.sendMeta(f, id); err != nil {
+			return 0, err
+		}
+		t.sent[id] = true
 	}
+	t.lastFmt, t.lastID = f, id
+	return id, nil
+}
+
+// sendMeta transmits f's meta-information (or, with a registrar, its
+// global reference) under stream-local ID id.
+func (t *Writer) sendMeta(f *wire.Format, id uint32) error {
 	// Frame order is delivery order: anything buffered goes out before
 	// the new format's meta.
 	if err := t.flushPending(); err != nil {
-		return 0, err
+		return err
 	}
 	if t.registrar != nil {
 		gid, err := t.registrar(f)
 		if err != nil {
-			return 0, fmt.Errorf("transport: registering format %q: %w", f.Name, err)
+			return fmt.Errorf("transport: registering format %q: %w", f.Name, err)
 		}
 		var ref [8]byte
 		wire.PutBeUint64(ref[:], gid)
-		if err := t.emit(msgMetaRef, id, ref[:], "meta ref"); err != nil {
-			return 0, err
-		}
-	} else {
-		t.meta = wire.AppendMeta(t.meta[:0], f)
-		if len(t.meta) > maxMetaPayload {
-			return 0, fmt.Errorf("transport: format %q meta is %d bytes, exceeds bound %d", f.Name, len(t.meta), maxMetaPayload)
-		}
-		if err := t.emit(msgMeta, id, t.meta, "meta"); err != nil {
-			return 0, err
-		}
+		return t.emit(msgMetaRef, id, ref[:], "meta ref")
 	}
-	t.sent[id] = true
-	return id, nil
+	t.meta = wire.AppendMeta(t.meta[:0], f)
+	if len(t.meta) > maxMetaPayload {
+		return fmt.Errorf("transport: format %q meta is %d bytes, exceeds bound %d", f.Name, len(t.meta), maxMetaPayload)
+	}
+	return t.emit(msgMeta, id, t.meta, "meta")
 }
 
 // WriteRecord transmits one record: data must be the record's native

@@ -106,6 +106,66 @@ func TestMultipleFormatsInterleaved(t *testing.T) {
 	}
 }
 
+// TestAlternatingFormatsStreamBytes pins the exact stream a writer
+// emits when two formats alternate — A, B, A, B, and once more with
+// batching — against frames assembled by hand from the frame layout:
+// each meta goes out exactly once, before its format's first record, and
+// the sent-format memo in ensureFormat (which every switch misses and
+// every repeat hits) changes no byte.
+func TestAlternatingFormatsStreamBytes(t *testing.T) {
+	fa := wire.MustLayout(mixedSchema(), &abi.SparcV8)
+	fb := wire.MustLayout(&wire.Schema{Name: "other", Fields: []wire.FieldSpec{{Name: "x", Type: abi.Int, Count: 2}}}, &abi.X86)
+	// A second pointer to A's layout shares its stream ID and its meta.
+	fa2 := wire.MustLayout(mixedSchema(), &abi.SparcV8)
+	ra, rb := native.New(fa), native.New(fb)
+	native.FillDeterministic(ra, 1)
+	native.FillDeterministic(rb, 2)
+	frame := func(kind byte, id uint32, body ...[]byte) []byte {
+		payload := bytes.Join(body, nil)
+		out := []byte{0x50, 0x42, kind}
+		out = wire.AppendBeUint32(out, id)
+		out = wire.AppendBeUint32(out, uint32(len(payload)))
+		return append(out, payload...)
+	}
+	metaA, metaB := frame(FrameMeta, 1, wire.EncodeMeta(fa)), frame(FrameMeta, 2, wire.EncodeMeta(fb))
+	dataA, dataB := frame(FrameData, 1, ra.Buf), frame(FrameData, 2, rb.Buf)
+	type step struct {
+		f   *wire.Format
+		rec []byte
+	}
+	a, b, a2 := step{fa, ra.Buf}, step{fb, rb.Buf}, step{fa2, ra.Buf}
+	for _, c := range []struct {
+		name  string
+		batch int
+		steps []step
+		want  [][]byte
+	}{
+		{"A B A B", 0, []step{a, b, a, b}, [][]byte{metaA, dataA, metaB, dataB, dataA, dataB}},
+		{"A A B B A A'", 0, []step{a, a, b, b, a, a2}, [][]byte{metaA, dataA, dataA, metaB, dataB, dataB, dataA, dataA}},
+		{"batched A A B A A' A", 1 << 16, []step{a, a, b, a, a2, a}, [][]byte{
+			metaA, frame(FrameBatch, 1, ra.Buf, ra.Buf), metaB, dataB, frame(FrameBatch, 1, ra.Buf, ra.Buf, ra.Buf)}},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if c.batch > 0 {
+			if err := w.SetBatching(c.batch, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, st := range c.steps {
+			if err := w.WriteRecord(st.f, st.rec); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := bytes.Join(c.want, nil); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: stream is\n% x\nwant\n% x", c.name, buf.Bytes(), want)
+		}
+	}
+}
+
 func TestWriteRecordSizeMismatch(t *testing.T) {
 	w := NewWriter(&bytes.Buffer{})
 	f := wire.MustLayout(mixedSchema(), &abi.SparcV8)

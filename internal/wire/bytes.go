@@ -47,11 +47,3 @@ func AppendBeUint32(dst []byte, v uint32) []byte {
 func AppendBeUint64(dst []byte, v uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, v)
 }
-
-// LeUint64 reads a little-endian uint64 from the first 8 bytes of b.
-// The little-endian pair exists for data that travels in a record's
-// native byte order (the trace-context field) rather than network order.
-func LeUint64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
-
-// PutLeUint64 writes v little-endian into the first 8 bytes of b.
-func PutLeUint64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }

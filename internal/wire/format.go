@@ -129,7 +129,8 @@ type Format struct {
 	// values stay copyable (a copy shares or re-derives the cache,
 	// either is correct).  Callers that mutate a Format after
 	// construction (none in-tree) must treat it as a new value.
-	fp unsafe.Pointer
+	fp      unsafe.Pointer
+	cursors unsafe.Pointer // *cursorTable (cursor.go): the by-name index, cached the same way
 }
 
 // Layout computes the concrete Format a C compiler for arch would give the
@@ -196,16 +197,6 @@ func MustLayout(s *Schema, arch *abi.Arch) *Format {
 		panic(err)
 	}
 	return f
-}
-
-// FieldByName returns the field with the given name, or nil.
-func (f *Format) FieldByName(name string) *Field {
-	for i := range f.Fields {
-		if f.Fields[i].Name == name {
-			return &f.Fields[i]
-		}
-	}
-	return nil
 }
 
 // Validate checks internal consistency of a format (typically one received

@@ -49,18 +49,12 @@ type TraceContext struct {
 // happens to share the name, a corrupted meta block) is treated as
 // absent rather than misread.
 func TraceFieldOffset(f *Format) int {
-	if len(f.Fields) == 0 {
+	c := f.Cursor(TraceFieldName)
+	if c == nil || c.Field != &f.Fields[len(f.Fields)-1] || c.Kind == KindStruct ||
+		c.Count != TraceFieldWords || c.Size != 8 || !c.Fits {
 		return -1
 	}
-	fl := &f.Fields[len(f.Fields)-1]
-	if fl.Name != TraceFieldName || fl.IsStruct() ||
-		fl.Count != TraceFieldWords || fl.Size != 8 {
-		return -1
-	}
-	if fl.End() > f.Size {
-		return -1
-	}
-	return fl.Offset
+	return c.Off
 }
 
 // TraceSchema returns a copy of s with the trace-context field appended,
@@ -77,9 +71,9 @@ func TraceSchema(s *Schema) *Schema {
 // PutTraceContext stores tc into buf at the trace field offset off, in
 // the format's byte order.
 func PutTraceContext(buf []byte, order abi.Endian, off int, tc TraceContext) {
-	putU64(buf[off:], order, tc.TraceID)
-	putU64(buf[off+8:], order, tc.ParentSpan)
-	putU64(buf[off+16:], order, tc.SendUnixNs)
+	order.PutUint64(buf[off:], tc.TraceID)
+	order.PutUint64(buf[off+8:], tc.ParentSpan)
+	order.PutUint64(buf[off+16:], tc.SendUnixNs)
 }
 
 // GetTraceContext reads the trace field of buf at offset off.  ok is
@@ -89,26 +83,8 @@ func GetTraceContext(buf []byte, order abi.Endian, off int) (TraceContext, bool)
 		return TraceContext{}, false
 	}
 	return TraceContext{
-		TraceID:    u64(buf[off:], order),
-		ParentSpan: u64(buf[off+8:], order),
-		SendUnixNs: u64(buf[off+16:], order),
+		TraceID:    order.Uint64(buf[off:]),
+		ParentSpan: order.Uint64(buf[off+8:]),
+		SendUnixNs: order.Uint64(buf[off+16:]),
 	}, true
-}
-
-// putU64 / u64 are the order-dispatching forms of the Be/Le helpers, for
-// fields that travel in the record's native byte order rather than
-// network order.
-func putU64(b []byte, order abi.Endian, v uint64) {
-	if order == abi.LittleEndian {
-		PutLeUint64(b, v)
-		return
-	}
-	PutBeUint64(b, v)
-}
-
-func u64(b []byte, order abi.Endian) uint64 {
-	if order == abi.LittleEndian {
-		return LeUint64(b)
-	}
-	return BeUint64(b)
 }

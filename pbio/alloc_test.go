@@ -2,6 +2,7 @@ package pbio
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -65,6 +66,49 @@ func TestAllocsBatchedWrite(t *testing.T) {
 	})
 	if got > 0 {
 		t.Errorf("batched Write allocates %.1f per record, want 0 (coalescing copy reuses the pending buffer)", got)
+	}
+}
+
+// TestAllocsRecordAccessors pins the by-name accessors at zero: the
+// standing benchmark's pattern — four Sets stamp a record, two Gets
+// check one — resolves every name through the format's cursor table
+// (wire.Format.Cursor), which is the only thing a fresh format's first
+// access may allocate.
+func TestAllocsRecordAccessors(t *testing.T) {
+	for _, arch := range []string{"sparc-v8", "x86-64"} {
+		// Eleven formats, so that ten measured runs each make the first
+		// access to a fresh one.
+		ctx := ctxFor(t, arch)
+		recs := make([]*Record, 11)
+		for i := range recs {
+			f, err := ctx.Register(fmt.Sprintf("mixed%d", i), benchMixedFields...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[i] = f.NewRecord()
+		}
+		seq := int64(0)
+		pattern := func(rec *Record) {
+			seq++
+			rec.MustSetInt("iter", 0, seq)
+			rec.MustSetInt("flags", 0, seq*7)
+			rec.MustSetFloat("timestamp", 0, float64(seq)*0.5)
+			rec.MustSetFloat("values", int(seq%7), float64(seq))
+			if v, err := rec.Int("iter", 0); err != nil || v != seq {
+				t.Fatalf("iter = %d, %v", v, err)
+			}
+			if v, err := rec.Float("values", int(seq%7)); err != nil || v != float64(seq) {
+				t.Fatalf("values = %v, %v", v, err)
+			}
+		}
+		next := 0
+		first := testing.AllocsPerRun(len(recs)-1, func() { pattern(recs[next]); next++ })
+		if first > 3 {
+			t.Errorf("%s: first use of a format allocates %.1f, want at most its table (3)", arch, first)
+		}
+		if got := testing.AllocsPerRun(500, func() { pattern(recs[0]) }); got > 0 {
+			t.Errorf("%s: four Sets + two Gets allocate %.1f per record, want 0", arch, got)
+		}
 	}
 }
 

@@ -348,3 +348,80 @@ func BenchmarkBatchedViewHomogeneous100B(b *testing.B) {
 		_ = rec
 	}
 }
+
+// benchMixedFields is the benchmark harness's 100 B mixed record
+// (internal/bench MixedSchema(7)).
+var benchMixedFields = []FieldSpec{
+	F("node", Int), F("timestamp", Double), F("iter", Long), Array("tag", Char, 16),
+	F("residual", Float), F("flags", UInt), Array("values", Double, 7),
+}
+
+func benchMixedRecord(b *testing.B, arch string) *Record {
+	b.Helper()
+	ctx, err := NewContext(WithArch(arch))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := ctx.Register("mixed", benchMixedFields...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f.NewRecord()
+}
+
+// benchMix64 is splitmix64's finaliser, as benchmark/workload.go derives
+// per-record contents.
+func benchMix64(seq int64) uint64 {
+	z := 1 + uint64(seq)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// BenchmarkRecordStamp4 is the standing benchmark's producer-side call
+// pattern (benchmark/workload.go stamp): four by-name Sets per record.
+// BenchmarkRecordCheck2 is its consumer side (check): two by-name Gets.
+// Together they are the native.set / native.get ledger rows in isolation.
+func BenchmarkRecordStamp4(b *testing.B) {
+	for _, arch := range []string{"sparc-v8", "x86-64"} {
+		b.Run(arch, func(b *testing.B) {
+			rec := benchMixedRecord(b, arch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				seq := int64(i)
+				h := benchMix64(seq)
+				rec.MustSetInt("iter", 0, seq)
+				rec.MustSetInt("flags", 0, int64(uint32(h)))
+				rec.MustSetFloat("timestamp", 0, float64(seq)*0.5)
+				rec.MustSetFloat("values", int((h>>32)%7), float64(h>>40))
+			}
+		})
+	}
+}
+
+func BenchmarkRecordCheck2(b *testing.B) {
+	for _, arch := range []string{"sparc-v8", "x86-64"} {
+		b.Run(arch, func(b *testing.B) {
+			rec := benchMixedRecord(b, arch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := benchMix64(int64(i))
+				if _, err := rec.Int("iter", 0); err != nil {
+					b.Fatal(err)
+				}
+				var err error
+				switch h & 3 {
+				case 0:
+					_, err = rec.Int("flags", 0)
+				case 1:
+					_, err = rec.Float("timestamp", 0)
+				default:
+					_, err = rec.Float("values", int((h>>32)%7))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
