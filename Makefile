@@ -75,7 +75,7 @@ fuzz:
 # benchmark: verifies the benchmarks run, produces no timing signal, and
 # writes bench_current.json so it cannot overwrite the BENCHBASE file).
 BENCHTIME ?= 1s
-BENCHOUT  ?= BENCH_pr15.json
+BENCHOUT  ?= BENCH_pr16.json
 
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run xxx ./pbio/ ./internal/dcg/ ./internal/wire/ \
@@ -92,7 +92,7 @@ bench-smoke:
 # (1x smoke artifacts make allocs/op meaningless); COMPAREFLAGS tunes
 # the thresholds — CI passes -ns-threshold=-1 because the baseline's
 # wall-clock numbers come from different hardware.
-BENCHBASE        ?= BENCH_pr15.json
+BENCHBASE        ?= BENCH_pr16.json
 COMPAREBENCHTIME ?= 5000x
 COMPAREFLAGS     ?=
 

@@ -1,9 +1,9 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // benchstat-style JSON document on stdout, so benchmark runs can be
-// stored as machine-readable artifacts (the repo's BENCH_pr3.json perf
+// stored as machine-readable artifacts (the repo's BENCH_pr<N>.json perf
 // trajectory) and diffed across PRs without parsing text logs.
 //
-//	go test -bench=. -benchmem ./pbio/ | benchjson > BENCH_pr3.json
+//	go test -bench=. -benchmem ./pbio/ | benchjson > BENCH_pr16.json
 //
 // Lines that are not benchmark results (package headers, PASS/ok, test
 // logs) are ignored.
@@ -11,7 +11,7 @@
 // With -compare, benchjson diffs two stored documents instead and exits
 // nonzero when the new run regresses past the thresholds:
 //
-//	benchjson -compare BENCH_pr3.json BENCH_new.json
+//	benchjson -compare BENCH_pr16.json BENCH_new.json
 //
 // allocs/op is compared exactly by default (an extra allocation on a
 // hot path is a real change, not noise), B/op with a small relative

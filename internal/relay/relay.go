@@ -489,14 +489,16 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 		// path never looks it up again.
 		fstats *formatStats
 	}
-	local := make(map[uint32]binding) // producer's ID -> relay binding
+	var local transport.FormatTable[binding] // producer's ID -> relay binding
 	br := bufio.NewReader(conn)
 	var buf []byte
 	resyncs := 0
 
+	// Read once (Set* is only safe before Serve): no Server.mu per frame.
 	s.mu.Lock()
 	rebatchMax := s.rebatchMax
 	sums := s.sums
+	readTimeout := s.producerTimeout
 	s.mu.Unlock()
 
 	// skip records one survivable corrupt frame; the second return
@@ -514,7 +516,7 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 	// countTraced returns how many records in body carry live trace
 	// context — the count rides on the queued frame so drop-oldest
 	// evictions can account for every traced record they lose.
-	countTraced := func(tr *tracectx.Tracer, b binding, body []byte) int {
+	countTraced := func(tr *tracectx.Tracer, b *binding, body []byte) int {
 		if tr == nil || b.traceOff < 0 {
 			return 0
 		}
@@ -529,7 +531,7 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 
 	// noteSpans records one relay-phase span per traced record in body —
 	// a single record or a whole batch, the stride is the same.
-	noteSpans := func(tr *tracectx.Tracer, b binding, body []byte, arrival time.Time) {
+	noteSpans := func(tr *tracectx.Tracer, b *binding, body []byte, arrival time.Time) {
 		if tr == nil || b.traceOff < 0 {
 			return
 		}
@@ -585,7 +587,7 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 	// was received intact and still belongs to the consumers.
 	defer flushBatch()
 
-	appendRecords := func(b binding, body []byte, traced int) {
+	appendRecords := func(b *binding, body []byte, traced int) {
 		if rbRecords > 0 && (b.relayID != rbID || len(rb)-sumPrefix+len(body) > rebatchMax) {
 			flushBatch()
 		}
@@ -611,7 +613,9 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 		if rbRecords > 0 && br.Buffered() == 0 {
 			flushBatch()
 		}
-		s.armProducerRead(conn)
+		if readTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(readTimeout))
+		}
 		f, nbuf, err := transport.ReadFrame(br, buf)
 		buf = nbuf
 		switch {
@@ -652,7 +656,7 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 				// discarded batch loses every record it carried — the
 				// count is estimated from the advertised payload size,
 				// since the body cannot be trusted.
-				if b, ok := local[f.FormatID]; ok && b.traceOff >= 0 {
+				if b := local.Lookup(f.FormatID); b != nil && b.traceOff >= 0 {
 					switch f.BaseKind() {
 					case transport.FrameData:
 						tr.NoteLost()
@@ -683,20 +687,20 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 				s.noteBadProducer(err)
 				return
 			}
-			local[f.FormatID] = binding{
+			local.Bind(f.FormatID, &binding{
 				relayID:  relayID,
 				size:     format.Size,
 				traceOff: wire.TraceFieldOffset(format),
 				order:    format.Order,
 				name:     format.Name,
 				fstats:   fs,
-			}
+			})
 			if added {
 				s.broadcastMeta(relayID)
 			}
 		case transport.FrameData, transport.FrameBatch:
-			b, ok := local[f.FormatID]
-			if !ok {
+			b := local.Lookup(f.FormatID)
+			if b == nil {
 				s.noteBadProducer(fmt.Errorf("relay: data frame for unknown format ID %d (data before meta)", f.FormatID))
 				return
 			}
@@ -749,16 +753,6 @@ func (s *Server) serveProducerFrom(conn net.Conn, u *Uplink) {
 			s.noteBadProducer(fmt.Errorf("relay: unexpected frame kind %d from producer", f.Kind))
 			return
 		}
-	}
-}
-
-// armProducerRead applies the producer read deadline, if configured.
-func (s *Server) armProducerRead(conn net.Conn) {
-	s.mu.Lock()
-	d := s.producerTimeout
-	s.mu.Unlock()
-	if d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/abi"
@@ -96,6 +97,18 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(s)
 	}
 	f.Add([]byte{})
+	// Format IDs are the peer's to choose: sparse, maximal and reserved
+	// ones, bound out of order, rebound, and used before they are bound.
+	tf := tableFormat("t", &abi.SparcV8)
+	for _, ids := range [][]uint32{{5000, 1}, {math.MaxUint32, math.MaxUint32 - 1}, {0}, {7, 7, 70000, 70000}} {
+		var s []byte
+		for _, id := range ids {
+			s = append(s, metaFrame(id, tf)...)
+			s = append(s, dataFrame(id, tf)...)
+			s = append(s, dataFrame(id+1, tf)...)
+		}
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))

@@ -614,6 +614,16 @@ func (t *Writer) writeVec(kind byte, what string) error {
 // record image.
 func WireSize(f *wire.Format) int { return frameHeaderSize + f.Size }
 
+// Slot is what a Reader knows about one format ID of its stream: the
+// format bound to it and its ordinal in bind order (0, 1, 2, … whatever
+// IDs the peer chose), by which a layer above indexes its own per-format
+// state.  A Reader never replaces a binding (an identical rebind keeps
+// the first slot, another is ErrProtocol), so that state holds until Reset.
+type Slot struct {
+	Format *wire.Format
+	Ord    uint32
+}
+
 // Message is one received record: the sender's format description and the
 // record bytes in the sender's native layout.
 //
@@ -624,9 +634,8 @@ func WireSize(f *wire.Format) int { return frameHeaderSize + f.Size }
 // and the next frame is read.)  Receivers that convert (or use) the
 // record before reading the next message never copy; others must.
 type Message struct {
-	FormatID uint32
-	Format   *wire.Format
-	Data     []byte
+	Slot // the format the record arrived under
+	Data []byte
 
 	// WireBytes is the total bytes consumed from the stream to deliver
 	// the message — the data frame plus any meta frames that preceded
@@ -650,7 +659,7 @@ type Message struct {
 // use.
 type Reader struct {
 	r       io.Reader
-	formats wire.Registry // embedded by value; zero value is ready
+	formats FormatTable[Slot] // the peer's format IDs; zero value is ready
 	hdr     [frameHeaderSize]byte
 
 	// stampArrivals, when set (SetArrivalStamps), timestamps each
@@ -669,7 +678,7 @@ type Reader struct {
 
 	// Batch-frame iteration state: the current batch frame's whole
 	// payload (aliases buf), the offset of the first un-delivered
-	// record, and the format/ID/arrival the frame was read under.  The
+	// record, and the slot and arrival the frame was read under.  The
 	// un-delivered tail is batch[batchOff:]; keeping the full payload
 	// lets TakeBatch hand a batch consumer every remaining record in
 	// one contiguous slice — m.Data is capacity-capped at one record
@@ -678,7 +687,7 @@ type Reader struct {
 	batch      []byte
 	pendingFmt *wire.Format
 	batchOff   int32 // frame payloads are capped at maxPayload (1<<28)
-	pendingID  uint32
+	pendingOrd uint32
 
 	pendingArrival time.Time
 
@@ -713,8 +722,8 @@ func NewReader(r io.Reader) *Reader {
 // without allocating.
 func (t *Reader) Reset(r io.Reader) {
 	t.r = r
-	t.formats.Reset()
-	t.batch, t.batchOff, t.pendingFmt, t.pendingID = nil, 0, nil, 0
+	t.formats = FormatTable[Slot]{}
+	t.batch, t.batchOff, t.pendingFmt, t.pendingOrd = nil, 0, nil, 0
 	t.pendingArrival = time.Time{}
 	t.closed = false
 }
@@ -789,8 +798,7 @@ func (t *Reader) nextBatched(m *Message, wireBytes int) {
 	f := t.pendingFmt
 	rec := t.batch[t.batchOff:]
 	*m = Message{
-		FormatID:  t.pendingID,
-		Format:    f,
+		Slot:      Slot{Format: f, Ord: t.pendingOrd},
 		Data:      rec[:f.Size:f.Size],
 		WireBytes: wireBytes,
 		Batched:   true,
@@ -907,10 +915,9 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 			if err != nil {
 				return fmt.Errorf("transport: decode meta: %w: %w", err, ErrCorruptFrame)
 			}
-			// DecodeMeta (and therefore the cache) validates, so the
-			// cheaper bind applies.
-			if err := t.formats.BindValidated(id, f); err != nil {
-				return fmt.Errorf("%w: %w", err, ErrProtocol)
+			// DecodeMeta (and therefore the cache) validates.
+			if err := t.bind(id, f); err != nil {
+				return err
 			}
 			if m := t.m; m != nil {
 				m.Trace.Emit("transport", "format_learned", f.Name)
@@ -927,27 +934,31 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 			if err != nil {
 				return fmt.Errorf("transport: resolving format %#x: %w: %w", gid, err, ErrFormatUnknown)
 			}
-			if err := t.formats.Bind(id, f); err != nil {
+			if err := f.Validate(); err != nil {
 				return fmt.Errorf("%w: %w", err, ErrProtocol)
 			}
+			if err := t.bind(id, f); err != nil {
+				return err
+			}
 		case msgData:
-			f := t.formats.Lookup(id)
-			if f == nil {
+			s := t.formats.Lookup(id)
+			if s == nil {
 				return fmt.Errorf("transport: data for unknown format ID %d (data before meta): %w", id, ErrProtocol)
 			}
-			if n != f.Size {
+			if f := s.Format; n != f.Size {
 				return fmt.Errorf("transport: record %d bytes, format %q is %d: %w", n, f.Name, f.Size, ErrCorruptFrame)
 			}
-			*m = Message{FormatID: id, Format: f, Data: body, WireBytes: wireBytes}
+			*m = Message{Slot: *s, Data: body, WireBytes: wireBytes}
 			if t.stampArrivals {
 				m.Arrival = time.Now()
 			}
 			return nil
 		case msgBatch:
-			f := t.formats.Lookup(id)
-			if f == nil {
+			s := t.formats.Lookup(id)
+			if s == nil {
 				return fmt.Errorf("transport: batch for unknown format ID %d (data before meta): %w", id, ErrProtocol)
 			}
+			f := s.Format
 			if n == 0 || n%f.Size != 0 {
 				return fmt.Errorf("transport: batch payload %d bytes not a positive multiple of format %q size %d: %w", n, f.Name, f.Size, ErrCorruptFrame)
 			}
@@ -957,8 +968,7 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 				m.BatchBytesRead.Add(int64(n))
 			}
 			t.batch, t.batchOff = body, 0
-			t.pendingFmt = f
-			t.pendingID = id
+			t.pendingFmt, t.pendingOrd = f, s.Ord
 			if t.stampArrivals {
 				t.pendingArrival = time.Now()
 			} else {
@@ -972,7 +982,18 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 	}
 }
 
-// Formats exposes the formats learned from the stream so far (PBIO's
-// reflection support: "message formats can be inspected before the
-// message is received").
-func (t *Reader) Formats() *wire.Registry { return &t.formats }
+// bind files f under the peer's id.  An identical rebind (replayed meta)
+// keeps the first slot; a different one, and ID 0, is ErrProtocol.
+func (t *Reader) bind(id uint32, f *wire.Format) error {
+	if id == 0 {
+		return fmt.Errorf("transport: cannot bind format ID 0: %w", ErrProtocol)
+	}
+	if s := t.formats.Lookup(id); s != nil {
+		if s.Format == f || wire.SameLayout(s.Format, f) {
+			return nil
+		}
+		return fmt.Errorf("transport: format ID %d already bound to %q with a different layout: %w", id, s.Format.Name, ErrProtocol)
+	}
+	t.formats.Bind(id, &Slot{Format: f, Ord: uint32(t.formats.Len())})
+	return nil
+}

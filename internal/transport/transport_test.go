@@ -101,8 +101,8 @@ func TestMultipleFormatsInterleaved(t *testing.T) {
 			t.Errorf("message %d: format %q, want %q", i, m.Format.Name, want)
 		}
 	}
-	if r.Formats().Len() != 2 {
-		t.Errorf("reader learned %d formats, want 2", r.Formats().Len())
+	if r.formats.Len() != 2 {
+		t.Errorf("reader learned %d formats, want 2", r.formats.Len())
 	}
 }
 

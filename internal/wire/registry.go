@@ -1,20 +1,15 @@
 package wire
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Registry assigns small integer IDs to formats for a communication
 // session, playing the role of PBIO's format server in a purely in-band
 // fashion: the writer registers formats and sends each format's
-// meta-information before its first record; the reader registers received
-// meta blocks under the sender's IDs.
+// meta-information before its first record.  (The receiving side files
+// what it is sent under the sender's IDs in a transport.FormatTable.)
 //
-// The zero value is ready to use (maps are allocated on first insert), so
-// a Registry can be embedded by value in per-stream readers and writers
-// without its own heap allocation.  A Registry is safe for concurrent
-// use.
+// The zero value is ready to use (maps are allocated on first insert).
+// A Registry is safe for concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
 	byID    map[uint32]*Format
@@ -52,57 +47,6 @@ func (r *Registry) Register(f *Format) (id uint32, added bool, err error) {
 	r.byID[id] = f
 	r.byPrint[fp] = id
 	return id, true, nil
-}
-
-// Bind records a format under an externally-assigned ID (the reader side:
-// IDs arrive from the peer inside meta messages).  Rebinding an ID to a
-// different layout is an error; rebinding to an identical layout is a
-// harmless no-op.
-func (r *Registry) Bind(id uint32, f *Format) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	return r.BindValidated(id, f)
-}
-
-// BindValidated is Bind for formats already known to be valid — a format
-// the caller just built with Layout, or one that came out of DecodeMeta
-// (which validates before returning).  It skips re-validation and the
-// writer-side fingerprint index, which keeps a fresh reader's first-meta
-// cost to the byID insert alone.
-func (r *Registry) BindValidated(id uint32, f *Format) error {
-	if id == 0 {
-		return fmt.Errorf("wire: cannot bind format ID 0")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.byID[id]; ok {
-		if SameLayout(old, f) {
-			return nil
-		}
-		return fmt.Errorf("wire: format ID %d already bound to %q with a different layout", id, old.Name)
-	}
-	if r.byID == nil {
-		r.byID = make(map[uint32]*Format)
-	}
-	r.byID[id] = f
-	if r.byPrint != nil {
-		// Keep the writer-side dedup index coherent when this registry is
-		// also used for Register; pure readers never allocate it.
-		r.byPrint[f.Fingerprint()] = id
-	}
-	return nil
-}
-
-// Reset forgets every binding, returning the registry to its zero state.
-// Per-stream readers embedded by value use it to re-arm for a new stream
-// without allocating a fresh Registry.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.byID = nil
-	r.byPrint = nil
-	r.nextID = 0
 }
 
 // Lookup returns the format bound to id, or nil if unknown.

@@ -54,38 +54,10 @@ func TestRegistryRejectsInvalid(t *testing.T) {
 	if _, _, err := r.Register(bad); err == nil {
 		t.Error("Register accepted invalid format")
 	}
-	if err := r.Bind(1, bad); err == nil {
-		t.Error("Bind accepted invalid format")
-	}
-}
-
-func TestRegistryBind(t *testing.T) {
-	r := NewRegistry()
-	f := MustLayout(testSchema(), &abi.SparcV8)
-	if err := r.Bind(7, f); err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	if r.Lookup(7) != f {
-		t.Error("Lookup(7) wrong")
-	}
-	// Rebinding to an identical layout is a no-op.
-	f2 := MustLayout(testSchema(), &abi.SparcV8)
-	if err := r.Bind(7, f2); err != nil {
-		t.Errorf("rebind identical layout: %v", err)
-	}
-	// Rebinding to a different layout is an error.
-	f3 := MustLayout(testSchema(), &abi.X86)
-	if err := r.Bind(7, f3); err == nil {
-		t.Error("rebind to different layout accepted")
-	}
-	// ID 0 is reserved.
-	if err := r.Bind(0, f); err == nil {
-		t.Error("Bind(0) accepted")
-	}
 }
 
 func TestRegistryConcurrent(t *testing.T) {
-	// Race-detector exercise: concurrent Register/Lookup/Bind.
+	// Race-detector exercise: concurrent Register/Lookup.
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

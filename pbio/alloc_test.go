@@ -11,7 +11,7 @@ import (
 
 // Allocation pins for the four wire-path hot loops.  These are hard
 // regression fences: the numbers encode the zero/near-zero-alloc
-// guarantees the pooled transport and the conversion memos provide, and
+// guarantees the pooled transport and the per-format state provide, and
 // a change that re-introduces per-record allocation fails here before it
 // shows up in benchmarks.  (AllocsPerRun disables parallelism, so the
 // values are exact, not statistical.)
@@ -113,15 +113,18 @@ func TestAllocsRecordAccessors(t *testing.T) {
 }
 
 // streamReader feeds the same encoded stream repeatedly, so a pin test
-// can read an unbounded run of records through one Reader.
+// can read an unbounded run of records through one Reader.  Replays
+// restart at loop: 0 repeats the whole stream, meta frames included; the
+// offset where the meta-carrying prefix ends repeats data frames only.
 type streamReader struct {
-	raw []byte
-	off int
+	raw  []byte
+	off  int
+	loop int
 }
 
 func (s *streamReader) Read(p []byte) (int, error) {
 	if s.off == len(s.raw) {
-		s.off = 0
+		s.off = s.loop
 	}
 	n := copy(p, s.raw[s.off:])
 	s.off += n
@@ -164,7 +167,7 @@ func TestAllocsHomogeneousView(t *testing.T) {
 		_ = rec
 	})
 	if got > 0 {
-		t.Errorf("homogeneous view costs %.1f allocs per record, want 0 (reader-owned message and record, memoised layout verdict)", got)
+		t.Errorf("homogeneous view costs %.1f allocs per record, want 0 (reader-owned message and record, layout verdict kept on the format's slot)", got)
 	}
 }
 
@@ -205,7 +208,7 @@ func TestAllocsBatchedView(t *testing.T) {
 			}
 		}
 	}
-	pass() // warm-up: receive buffer growth, first meta decode, layout memo
+	pass() // warm-up: receive buffer growth, first meta decode, layout verdict
 	if got := testing.AllocsPerRun(20, pass); got > 0 {
 		t.Errorf("batched Read+View costs %.0f allocs per %d records, want 0", got, frames*batch)
 	}
@@ -233,7 +236,7 @@ func TestAllocsDCGDecode(t *testing.T) {
 	out := rf.NewRecord()
 	r := rctx.NewReader(&streamReader{raw: stream.Bytes()})
 	defer r.Close()
-	// First read decodes meta, builds and memoizes the DCG program.
+	// First read decodes meta, builds the DCG program and files it on the slot.
 	m, err := r.Read()
 	if err != nil {
 		t.Fatal(err)
@@ -251,14 +254,45 @@ func TestAllocsDCGDecode(t *testing.T) {
 		}
 	})
 	if got > 0 {
-		t.Errorf("steady-state DCG decode costs %.1f allocs per record, want 0 (memoized program, caller-owned output)", got)
+		t.Errorf("steady-state DCG decode costs %.1f allocs per record, want 0 (program on the format's slot, caller-owned output)", got)
+	}
+}
+
+// TestAllocsRoundRobinDecode pins Read + DecodeInto at zero allocations
+// when no record is of the format of the one before it: 32 formats
+// round-robin, measured after the round that binds them.  The pins above
+// cover one format; this one covers the per-format slot lookup
+// (transport.FormatTable.Lookup, Message.state).
+func TestAllocsRoundRobinDecode(t *testing.T) {
+	const n = 32
+	src, rctx, expected := roundRobinStream(t, n, 8)
+	r := rctx.NewReader(src)
+	defer r.Close()
+	outs := make([]*Record, n)
+	for i, rf := range expected {
+		outs[i] = rf.NewRecord()
+	}
+	round := func() {
+		for i, rf := range expected {
+			m, err := r.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.DecodeInto(rf, outs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // meta frames, slots, programs, receive buffer
+	if got := testing.AllocsPerRun(20, round); got > 0 {
+		t.Errorf("round-robin Read+DecodeInto costs %.0f allocs per %d records, want 0", got, n)
 	}
 }
 
 // TestAllocsBatchDecode pins the fused batch decode path at zero
 // allocations per record: one Read plus one DecodeBatch consumes a whole
 // 64-record heterogeneous batch frame, reusing the RecordBatch buffer,
-// the reader's message, the memoized batch program and the pooled
+// the reader's message, the program on the format's slot and the pooled
 // receive buffer.
 func TestAllocsBatchDecode(t *testing.T) {
 	sctx := ctxFor(t, "sparc-v8")
@@ -286,7 +320,7 @@ func TestAllocsBatchDecode(t *testing.T) {
 	rb := rf.NewRecordBatch()
 	r := rctx.NewReader(&streamReader{raw: stream.Bytes()})
 	defer r.Close()
-	// Warm up: meta decode, batch-program compile + memo, RecordBatch
+	// Warm up: meta decode, batch-program compile, RecordBatch
 	// buffer growth to frame size.
 	m, err := r.Read()
 	if err != nil {

@@ -2,6 +2,7 @@ package pbio
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -256,6 +257,86 @@ func BenchmarkPerRecordReadDecode100B(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := m.DecodeInto(rf, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// roundRobinStream renders a stream of n same-shaped ~100-byte formats
+// ("tick0" … "tick<n-1>") written round-robin by a sparc-v8 sender, and
+// registers the x86-64 receiver's expected format for each.  The first
+// round carries the meta frames; the streamReader replays only the
+// rounds after it, so the steady state is data frames of n interleaved
+// formats and nothing else.
+func roundRobinStream(tb testing.TB, n, rounds int, opts ...Option) (*streamReader, *Context, []*Format) {
+	tb.Helper()
+	sctx, err := NewContext(WithArch("sparc-v8"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rctx, err := NewContext(append([]Option{WithArch("x86-64")}, opts...)...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := make([]*Record, n)
+	expected := make([]*Format, n)
+	for i := range recs {
+		name := fmt.Sprintf("tick%d", i)
+		sf, err := sctx.Register(name, benchTickFields()...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs[i] = sf.NewRecord()
+		recs[i].MustSetInt("node", 0, int64(i))
+		recs[i].MustSetFloat("values", i%11, float64(i)+0.5)
+		if expected[i], err = rctx.Register(name, benchTickFields()...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var stream bytes.Buffer
+	w := sctx.NewWriter(&stream)
+	loop := 0
+	for round := 0; round <= rounds; round++ {
+		for _, rec := range recs {
+			if err := w.Write(rec); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if round == 0 {
+			loop = stream.Len()
+		}
+	}
+	return &streamReader{raw: stream.Bytes(), loop: loop}, rctx, expected
+}
+
+// BenchmarkRoundRobinDecode32 is BenchmarkPerRecordReadDecode100B with
+// the same record arriving as 32 interleaved formats: what a record
+// costs when the one before it was of a different format.
+func BenchmarkRoundRobinDecode32(b *testing.B) {
+	const n = 32
+	src, rctx, expected := roundRobinStream(b, n, 32)
+	r := rctx.NewReader(src)
+	defer r.Close()
+	outs := make([]*Record, n)
+	for i, rf := range expected {
+		outs[i] = rf.NewRecord()
+		m, err := r.Read() // first round: meta, first sight of each format pair
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.DecodeInto(rf, outs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(expected[0].Size()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := r.Read()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.DecodeInto(expected[i%n], outs[i%n]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -198,8 +198,8 @@ type Context struct {
 
 	// metaCache deduplicates meta decoding across every Reader of this
 	// context, and — because identical meta bytes resolve to one
-	// *wire.Format pointer — makes per-reader conversion memos hit across
-	// streams.
+	// *wire.Format pointer — lets streams share what a format builds
+	// lazily (fingerprint, cursor table).
 	metaCache *transport.MetaCache
 
 	// registrarFn/resolverFn adapt fmtsv for the transport layer.  Built

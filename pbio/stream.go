@@ -161,28 +161,24 @@ type Reader struct {
 	// allocates nothing.
 	cur Message
 
-	// traceOffs caches the trace-field offset per incoming wire format
-	// (-1: format carries no trace field), so the per-message receive
-	// check is one map hit.
-	traceOffs map[*wire.Format]int
+	// state is what the reader has resolved about each wire format of its
+	// stream, indexed by transport.Slot ordinal: however many formats
+	// interleave, a record finds it with an index and a pointer compare.
+	state []formatState
+}
 
-	// Conversion memo: the last (wire format, expected format) pair this
-	// reader converted and the program/plan that did it.  Streams deliver
-	// long runs of one format, and the shared meta cache makes wire
-	// format pointers stable across streams, so pointer equality hits
-	// nearly always and skips the conversion-cache lock and map.
-	memoWF   *wire.Format
-	memoNF   *wire.Format
-	memoProg *dcg.Program
-	memoPlan *convert.Plan
-
-	// Layout memo: the last (wire format, expected layout) pair View
-	// compared and wire.SameLayout's verdict on it, either outcome.  The
-	// verdict cannot change while both pointers are the same, so the deep
-	// field-by-field compare runs once per pair, not once per record.
-	viewWF   *wire.Format
-	viewNF   *wire.Format
-	viewSame bool
+// formatState is one wire format's resolved state: one entry per kind of
+// question, keyed on the expected format it was answered for and
+// replaced when another is asked about.  The wire side needs no key —
+// the transport never re-points an ordinal within a stream.
+type formatState struct {
+	convNF    *wire.Format  // what prog (compiled engine) or plan (Interpreted) converts
+	prog      *dcg.Program  // into; the shared caches are consulted only on a pair's
+	plan      *convert.Plan // first sight
+	viewNF    *wire.Format  // what same, wire.SameLayout's verdict, was computed against
+	same      bool
+	traceSeen bool // traceOff is resolved: the trace field's offset, or -1 for none
+	traceOff  int
 }
 
 // NewReader returns a Reader over r.  Like NewWriter, the body stays
@@ -250,7 +246,7 @@ func (r *Reader) Read() (*Message, error) {
 // Record (or struct) to keep it longer.
 type Message struct {
 	ctx *Context
-	r   *Reader // conversion and layout memos live on the reader; nil in tests that fake messages
+	r   *Reader // per-format state lives on the reader; nil in tests that fake messages
 	msg transport.Message
 
 	// view is the reusable record View returns — like Reader.cur and
@@ -287,15 +283,31 @@ func (m *Message) DescribeFormat() string { return m.msg.Format.String() }
 // usable straight out of the receive buffer.
 func (m *Message) SameLayout(f *Format) bool { return m.sameLayout(f.wf) }
 
-// sameLayout is wire.SameLayout(m.msg.Format, nf) behind the reader's
-// layout memo.
+// state returns the reader's state for the message's wire format, nil
+// without a reader.  Ordinals count formats bound, which bounds the slice.
+//
+//pbio:hotpath noalloc=0 per-record slot lookup, an index; pinned by pbio/alloc_test.go TestAllocsRoundRobinDecode
+func (m *Message) state() *formatState {
+	r := m.r
+	if r == nil {
+		return nil
+	}
+	for int(m.msg.Ord) >= len(r.state) {
+		r.state = append(r.state, formatState{})
+	}
+	return &r.state[m.msg.Ord]
+}
+
+// sameLayout is wire.SameLayout(m.msg.Format, nf), compared once per
+// (wire format, expected layout) and remembered on the format's state.
 func (m *Message) sameLayout(nf *wire.Format) bool {
-	if r := m.r; r != nil && r.viewWF == m.msg.Format && r.viewNF == nf {
-		return r.viewSame
+	st := m.state()
+	if st != nil && st.viewNF == nf {
+		return st.same
 	}
 	same := wire.SameLayout(m.msg.Format, nf)
-	if r := m.r; r != nil {
-		r.viewWF, r.viewNF, r.viewSame = m.msg.Format, nf, same
+	if st != nil {
+		st.viewNF, st.same = nf, same
 	}
 	return same
 }
@@ -351,34 +363,36 @@ func (m *Message) viewAs(expected *Format) *Record {
 }
 
 // program returns the generated conversion program from the message's
-// wire format to nf, consulting the reader's memo before the shared
-// cache.  DecodeInto and DecodeBatch run the same program, so a reader
-// that mixes them on one format pair keeps one memo entry hot.
+// wire format to nf: the one filed on the format's state, or — on the
+// pair's first sight, and always for a reader-less message — the shared
+// cache's.  DecodeInto and DecodeBatch run the same program.
 func (m *Message) program(nf *wire.Format) (*dcg.Program, error) {
-	if r := m.r; r != nil && r.memoWF == m.msg.Format && r.memoNF == nf && r.memoProg != nil {
-		return r.memoProg, nil
+	st := m.state()
+	if st != nil && st.convNF == nf && st.prog != nil {
+		return st.prog, nil
 	}
 	prog, err := m.ctx.cache.Get(m.msg.Format, nf)
 	if err != nil {
 		return nil, err
 	}
-	if r := m.r; r != nil {
-		r.memoWF, r.memoNF, r.memoProg, r.memoPlan = m.msg.Format, nf, prog, nil
+	if st != nil {
+		st.convNF, st.prog, st.plan = nf, prog, nil
 	}
 	return prog, nil
 }
 
 // interpPlan is program's counterpart for the interpreted engine.
 func (m *Message) interpPlan(nf *wire.Format) (*convert.Plan, error) {
-	if r := m.r; r != nil && r.memoWF == m.msg.Format && r.memoNF == nf && r.memoPlan != nil {
-		return r.memoPlan, nil
+	st := m.state()
+	if st != nil && st.convNF == nf && st.plan != nil {
+		return st.plan, nil
 	}
 	plan, err := m.ctx.plan(m.msg.Format, nf)
 	if err != nil {
 		return nil, err
 	}
-	if r := m.r; r != nil {
-		r.memoWF, r.memoNF, r.memoPlan, r.memoProg = m.msg.Format, nf, plan, nil
+	if st != nil {
+		st.convNF, st.plan, st.prog = nf, plan, nil
 	}
 	return plan, nil
 }

@@ -190,8 +190,8 @@ func TestViewThroughTwinFormatKeepsEarlierResult(t *testing.T) {
 
 // A refused View leaves the record a previous View returned alone, and
 // its verdict is remembered like an accepted one: whatever the field
-// count, the second refusal is answered from the pointer memo — shown by
-// poisoning the memo and watching View believe it.
+// count, the second refusal is answered from the format's slot state —
+// shown by poisoning the verdict and watching View believe it.
 func TestViewRefusalIsMemoisedAndLeavesRecordAlone(t *testing.T) {
 	for _, fields := range []int{2, 400} {
 		t.Run(fmt.Sprint(fields, "fields"), func(t *testing.T) {
@@ -231,20 +231,21 @@ func TestViewRefusalIsMemoisedAndLeavesRecordAlone(t *testing.T) {
 			if x, _ := held.Int("f1", 0); x != 7 {
 				t.Errorf("held view reads f1 = %d after a refused View, want 7", x)
 			}
-			if r.viewWF != m.msg.Format || r.viewNF != rf.wf || r.viewSame {
-				t.Fatalf("layout memo after a refusal = (%p, %p, %v), want (%p, %p, false)",
-					r.viewWF, r.viewNF, r.viewSame, m.msg.Format, rf.wf)
+			st := m.state()
+			if st.viewNF != rf.wf || st.same {
+				t.Fatalf("layout verdict after a refusal = (%p, %v), want (%p, false)", st.viewNF, st.same, rf.wf)
 			}
-			r.viewSame = true
+			st.same = true
 			if _, ok, _ := m.View(rf); !ok {
-				t.Error("second View of the same format pair compared the layouts again instead of consulting the memo")
+				t.Error("second View of the same format pair compared the layouts again instead of consulting the format's state")
 			}
 		})
 	}
 }
 
-// Messages built without a Reader (m.r == nil) have no memo to consult;
-// they compare layouts every time and view into their own record.
+// Messages built without a Reader (m.r == nil) have no per-format state
+// to consult; they compare layouts every time and view into their own
+// record.
 func TestViewOfReaderlessMessage(t *testing.T) {
 	ctx := ctxFor(t, "x86")
 	f, err := ctx.Register("v", F("x", Int))
@@ -257,7 +258,7 @@ func TestViewOfReaderlessMessage(t *testing.T) {
 	}
 	rec := f.NewRecord()
 	rec.MustSetInt("x", 0, 42)
-	m := &Message{ctx: ctx, msg: transport.Message{Format: f.wf, Data: rec.Bytes()}}
+	m := &Message{ctx: ctx, msg: transport.Message{Slot: transport.Slot{Format: f.wf}, Data: rec.Bytes()}}
 	for i := 0; i < 2; i++ {
 		v := mustView(t, m, f)
 		if x, _ := v.Int("x", 0); x != 42 || &v.Bytes()[0] != &rec.Bytes()[0] {
@@ -269,8 +270,9 @@ func TestViewOfReaderlessMessage(t *testing.T) {
 	}
 }
 
-// A stream that alternates formats (A, B, A) re-evaluates the one-entry
-// memo at every change and never answers for the wrong pair.
+// A stream that alternates formats (A, B, A) keeps one layout verdict per
+// format, re-evaluates it when the expected format changes and never
+// answers for the wrong pair.
 func TestViewAcrossFormatChanges(t *testing.T) {
 	ctx := ctxFor(t, "x86")
 	a, err := ctx.Register("a", F("x", Int))
@@ -308,8 +310,8 @@ func TestViewAcrossFormatChanges(t *testing.T) {
 		if x, _ := v.Int("x", 0); x != int64(10+i) || v.Format() != f {
 			t.Errorf("record %d: x = %d through %q, want %d through %q", i, x, v.Format().Name(), 10+i, f.Name())
 		}
-		if r.viewWF != m.msg.Format || r.viewNF != f.wf || !r.viewSame {
-			t.Errorf("record %d: layout memo does not describe the pair just viewed", i)
+		if st := m.state(); st.viewNF != f.wf || !st.same {
+			t.Errorf("record %d: the format's layout verdict does not describe the pair just viewed", i)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestBatchDecodePathCounters(t *testing.T) {
 		recs[i] = sf.NewRecord()
 		recs[i].MustSetInt("node", 0, int64(i))
 	}
-	// Two frames, so the second decode exercises the memo/cache-hit path.
+	// Two frames, so the second decode finds the program on the slot.
 	if err := w.WriteBatch(recs[:n/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func TestBatchDecodePathCounters(t *testing.T) {
 			}
 		}
 	}
-	// One compile (the miss); the second frame hits the reader memo, so
-	// the shared cache sees no more traffic.
+	// One compile (the miss); the second frame finds the program on the
+	// format's slot, so the shared cache sees no more traffic.
 	if families["pbio_dcg_cache_misses_total"] != 1 || families["pbio_dcg_cache_hits_total"] != 0 {
 		t.Errorf("cache misses = %d, hits = %d, want 1 and 0", families["pbio_dcg_cache_misses_total"], families["pbio_dcg_cache_hits_total"])
 	}

@@ -183,14 +183,11 @@ func (w *Writer) noteBatchFlush(records, payloadBytes int, start, end time.Time)
 // arrival) and arms the message's decode-phase tracing.
 func (r *Reader) noteArrival(m *Message, tr *tracectx.Tracer) {
 	wf := m.msg.Format
-	off, ok := r.traceOffs[wf]
-	if !ok {
-		if r.traceOffs == nil {
-			r.traceOffs = make(map[*wire.Format]int)
-		}
-		off = wire.TraceFieldOffset(wf)
-		r.traceOffs[wf] = off
+	st := m.state()
+	if !st.traceSeen {
+		st.traceSeen, st.traceOff = true, wire.TraceFieldOffset(wf)
 	}
+	off := st.traceOff
 	if off < 0 {
 		return
 	}
