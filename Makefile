@@ -10,11 +10,11 @@ build:
 	$(GO) build ./...
 
 # vet runs the standard Go vet plus pbiovet, the repo's own analyzer
-# suite: the shape checks (tagcheck, speccheck, endiancheck, senterr,
-# tracecheck) and the flow-aware checks (poolcheck, lockcheck,
-# atomiccheck, alloccheck).  Any diagnostic fails the target, and
-# therefore `make all` and CI.  `pbiovet -list` documents the suite;
-# `bin/pbiovet -run=name ./...` runs one analyzer.
+# suite: the shape checks (endiancheck, senterr, tracecheck) and the
+# flow-aware checks (lockcheck, atomiccheck, alloccheck), each proven
+# against seeded bugs by cmd/pbiovet's TestMutations.  Any diagnostic
+# fails the target, and therefore `make all` and CI.  `pbiovet -list`
+# documents the suite; `bin/pbiovet -run=name ./...` runs one analyzer.
 vet: vet-std vet-pbio
 
 vet-std:
@@ -129,5 +129,5 @@ outputs:
 
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt vet_report.txt
+	rm -f test_output.txt bench_output.txt vet_report.txt mutation_report.txt
 	rm -rf bin

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -46,12 +48,18 @@ func buildRelay(t *testing.T) string {
 // relayProc is a running pbio-relay child process with its announced
 // addresses.
 type relayProc struct {
-	cmd                          *exec.Cmd
 	metricsAddr, prodAddr, consAddr string
 }
 
 // startRelayProc launches the binary with ephemeral ports plus extra
 // args and parses the announce lines off stdout.
+//
+// The test owns the child outright, so no failure here can wedge
+// `go test`: the child leads its own process group and cleanup kills the
+// group; its stderr is captured (and shown when the test fails), never
+// the pipe `go test` reads from this binary — a child that outlived the
+// test would hold that pipe open and `go test` would wait on it; and
+// WaitDelay bounds Wait should anything keep the child's pipes open.
 func startRelayProc(t *testing.T, bin string, extra ...string) *relayProc {
 	t.Helper()
 	args := append([]string{
@@ -60,18 +68,24 @@ func startRelayProc(t *testing.T, bin string, extra ...string) *relayProc {
 		"-metrics-addr", "127.0.0.1:0",
 	}, extra...)
 	cmd := exec.Command(bin, args...)
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.WaitDelay = 5 * time.Second
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &relayProc{cmd: cmd}
+	p := &relayProc{}
 	t.Cleanup(func() {
-		cmd.Process.Kill()
+		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
 		cmd.Wait()
+		if t.Failed() {
+			t.Logf("pbio-relay %v stderr:\n%s", extra, stderr.Bytes())
+		}
 	})
 
 	// The daemon announces its bound addresses on stdout:
@@ -354,7 +368,9 @@ func TestExitNonZeroOnStartupFailure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+			cmd := exec.CommandContext(ctx, bin, tc.args...)
+			cmd.WaitDelay = 5 * time.Second
+			out, err := cmd.CombinedOutput()
 			if ctx.Err() != nil {
 				t.Fatalf("pbio-relay kept running instead of failing: %s", out)
 			}

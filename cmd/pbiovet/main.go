@@ -13,17 +13,22 @@
 // `pbiovet -list` (or -help) prints the analyzer registry.
 //
 // Analyzers (suppress a deliberate finding with a
-// `//pbiovet:allow <name> — reason` comment on or above the line):
+// `//pbiovet:allow <name> — reason` comment on or above the line; a
+// comment naming anything but these six is itself a diagnostic):
 //
-//	tagcheck    pbio struct tags match the rules pbio.RegisterStruct enforces
-//	speccheck   literal FieldSpec/Schema declarations are wire-valid
 //	endiancheck byte-order arithmetic stays inside the layout layers
 //	senterr     sentinel errors are classified with errors.Is, not ==
-//	tracecheck  trace spans are finished on every path
-//	poolcheck   bufpool buffers are not used after Put, double-Put, or leaked to goroutines
+//	tracecheck  telemetry label values come from bounded sets
 //	lockcheck   no potentially-blocking call runs while a sync.Mutex is held
 //	atomiccheck fields accessed with sync/atomic are never accessed plainly
 //	alloccheck  //pbio:hotpath functions stay within their declared alloc budget
+//
+// An analyzer is admitted by mutation, not by fixture: TestMutations
+// (mutation_test.go) seeds each bug class into the real tree through a
+// `go vet -overlay` and requires the diagnostic.  What a format's own
+// validation already rejects at registration (struct tags, literal
+// specs) and what `go test -race` already traps (pooled-buffer
+// ownership, internal/bufpool's tracker) has no analyzer here.
 package main
 
 import (

@@ -151,13 +151,16 @@ func NewInfo() *types.Info {
 // through Pass.ResultOf, facts through u.Facts.  Findings silenced by a
 // `//pbiovet:allow` comment (see allowedAt) are dropped, and analyzers
 // with IncludeTests unset never see diagnostics positioned in _test.go
-// files.
-func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
+// files.  registry is every analyzer a suppression may name — analyzers
+// is all of it or a `-run` selection from it — and an allow comment
+// naming anything else is itself a diagnostic: a suppression that can
+// no longer suppress anything must not outlive its analyzer.
+func Run(u *Unit, analyzers, registry []*Analyzer) ([]Diagnostic, error) {
 	if u.Facts == nil {
 		u.Facts = NewFactSet()
 	}
-	allow := collectAllows(u.Fset, u.Files)
 	var out []Diagnostic
+	allow := collectAllows(u.Fset, u.Files, registry, func(d Diagnostic) { out = append(out, d) })
 
 	results := make(map[*Analyzer]any)
 	visiting := make(map[*Analyzer]bool)
@@ -238,10 +241,16 @@ func sortDiagnostics(fset *token.FileSet, ds []Diagnostic) {
 
 // allowSet records `//pbiovet:allow name[,name...] [— reason]` comments.
 // A comment suppresses matching diagnostics reported on its own line and,
-// when it stands alone on its line, on the following line.
+// when it stands alone on its line, on the following line.  Each name must
+// be an analyzer of the registry (or "all"); collectAllows reports any
+// other.
 type allowSet map[string]map[int][]string
 
-func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
+func collectAllows(fset *token.FileSet, files []*ast.File, registry []*Analyzer, report func(Diagnostic)) allowSet {
+	known := map[string]bool{"all": true}
+	for _, a := range registry {
+		known[a.Name] = true
+	}
 	set := make(allowSet)
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -255,6 +264,12 @@ func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
 				var list []string
 				if len(names) > 0 {
 					list = strings.Split(names[0], ",")
+				}
+				for _, name := range list {
+					if !known[name] {
+						report(Diagnostic{Pos: c.Pos(), Analyzer: "pbiovet", Message: fmt.Sprintf(
+							"//pbiovet:allow names %q, which is not a pbiovet analyzer: the suppression is stale, delete it", name)})
+					}
 				}
 				pos := fset.Position(c.Pos())
 				byLine := set[pos.Filename]

@@ -110,7 +110,8 @@ func runOne(t *testing.T, dir, pkgpath string, a *analysis.Analyzer) {
 	}
 
 	facts := analysis.NewFactSet()
-	diags, err := analysis.Run(&analysis.Unit{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Facts: facts}, []*analysis.Analyzer{a})
+	only := []*analysis.Analyzer{a}
+	diags, err := analysis.Run(&analysis.Unit{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Facts: facts}, only, only)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 // Package flow is a small abstract interpreter over Go's *structured*
-// control flow, shared by the flow-aware pbiovet analyzers (poolcheck,
-// lockcheck).  It walks one function body in execution order, maintains
-// a client-defined abstract state, clones it at branches, and merges it
-// at joins — so a client can answer path questions ("was this buffer
-// Put on *any* path reaching this use?", "is this mutex still held
-// here?") without building a full CFG.
+// control flow, under the flow-aware pbiovet analyzer (lockcheck).  It
+// walks one function body in execution order, maintains a
+// client-defined abstract state, clones it at branches, and merges it
+// at joins — so a client can answer path questions ("is this mutex
+// still held here?") without building a full CFG.
 //
 // The client supplies the lattice: a State with Clone, a Merge hook
 // that joins two states (called at if/else joins, loop exits, switch
@@ -28,9 +27,8 @@
 //     conditions, switch tags, range and type-switch operands, and
 //     case expressions.
 //
-// Functions containing goto or labeled statements are not interpreted:
-// Func returns false and the client should skip them (they are absent
-// from this codebase's hot paths).
+// Functions containing goto or labeled statements are not interpreted
+// (they are absent from this codebase).
 package flow
 
 import (
@@ -60,16 +58,13 @@ type Hooks struct {
 // use (a third is interpreted for safety margin).
 const loopIterations = 3
 
-// Func interprets body starting from st.  It reports false — without
-// interpreting anything — when the body contains goto or labeled
-// statements.
-func Func(body *ast.BlockStmt, st State, h Hooks) bool {
-	if !analyzable(body) {
-		return false
+// Func interprets body starting from st, or nothing at all when the
+// body contains goto or labeled statements.
+func Func(body *ast.BlockStmt, st State, h Hooks) {
+	if analyzable(body) {
+		it := &interp{h: h}
+		it.block(body.List, st)
 	}
-	it := &interp{h: h}
-	it.block(body.List, st)
-	return true
 }
 
 // analyzable rejects bodies with unstructured control flow.

@@ -5,7 +5,7 @@
 //
 // Analyzers that would each walk every file with ast.Inspect instead
 // declare `Requires: []*analysis.Analyzer{inspect.Analyzer}` and filter
-// the precomputed event list by node type:
+// the precomputed node list by type:
 //
 //	in := pass.ResultOf[inspect.Analyzer].(*inspect.Inspector)
 //	in.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) { ... })
@@ -35,35 +35,23 @@ instead of re-walking every file.`,
 	},
 }
 
-// event is one preorder visit: the node, plus the index one past the
-// last event of its subtree so a filtered walk can skip whole subtrees
-// without revisiting them.
-type event struct {
-	node ast.Node
-	end  int
-}
-
-// Inspector is the flattened preorder event list of a package's files.
+// Inspector is the flattened preorder node list of a package's files.
 type Inspector struct {
-	events []event
+	nodes []ast.Node
 }
 
 // New flattens files into an Inspector.
 func New(files []*ast.File) *Inspector {
 	in := &Inspector{}
 	for _, f := range files {
-		in.flatten(f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n != nil {
+				in.nodes = append(in.nodes, n)
+			}
+			return true
+		})
 	}
 	return in
-}
-
-func (in *Inspector) flatten(n ast.Node) {
-	i := len(in.events)
-	in.events = append(in.events, event{node: n})
-	for _, c := range children(n) {
-		in.flatten(c)
-	}
-	in.events[i].end = len(in.events)
 }
 
 // Preorder calls f for every node whose dynamic type matches one of
@@ -71,26 +59,10 @@ func (in *Inspector) flatten(n ast.Node) {
 // every node.
 func (in *Inspector) Preorder(types []ast.Node, f func(ast.Node)) {
 	match := typeSet(types)
-	for _, ev := range in.events {
-		if match == nil || match[reflect.TypeOf(ev.node)] {
-			f(ev.node)
+	for _, n := range in.nodes {
+		if match == nil || match[reflect.TypeOf(n)] {
+			f(n)
 		}
-	}
-}
-
-// Nodes calls f for every matching node; returning false from f skips
-// the node's subtree.
-func (in *Inspector) Nodes(types []ast.Node, f func(ast.Node) bool) {
-	match := typeSet(types)
-	for i := 0; i < len(in.events); {
-		ev := in.events[i]
-		if match == nil || match[reflect.TypeOf(ev.node)] {
-			if !f(ev.node) {
-				i = ev.end
-				continue
-			}
-		}
-		i++
 	}
 }
 
@@ -103,22 +75,4 @@ func typeSet(types []ast.Node) map[reflect.Type]bool {
 		m[reflect.TypeOf(t)] = true
 	}
 	return m
-}
-
-// children returns n's direct child nodes in source order, via
-// ast.Inspect's contract: the first level of callbacks below n.
-func children(n ast.Node) []ast.Node {
-	var out []ast.Node
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			out = append(out, c)
-		}
-		return false
-	})
-	return out
 }

@@ -8,23 +8,19 @@ import (
 	"repro/internal/analysis/passes/atomiccheck"
 	"repro/internal/analysis/passes/endiancheck"
 	"repro/internal/analysis/passes/lockcheck"
-	"repro/internal/analysis/passes/poolcheck"
 	"repro/internal/analysis/passes/senterr"
-	"repro/internal/analysis/passes/speccheck"
-	"repro/internal/analysis/passes/tagcheck"
 	"repro/internal/analysis/passes/tracecheck"
 )
 
-// All is the pbiovet suite, in reporting order: the shape checks from
-// the first vet generation, then the flow-aware ownership, locking and
-// allocation checks.
+// All is the pbiovet suite, in reporting order: the shape checks, then
+// the flow-aware locking, atomicity and allocation checks.  Admission is
+// by mutation: every analyzer here has rows in cmd/pbiovet's
+// TestMutations, each a bug seeded into the real tree that must produce
+// its diagnostic.
 var All = []*analysis.Analyzer{
-	tagcheck.Analyzer,
-	speccheck.Analyzer,
 	endiancheck.Analyzer,
 	senterr.Analyzer,
 	tracecheck.Analyzer,
-	poolcheck.Analyzer,
 	lockcheck.Analyzer,
 	atomiccheck.Analyzer,
 	alloccheck.Analyzer,

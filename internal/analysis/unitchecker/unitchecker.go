@@ -100,20 +100,20 @@ func Main(analyzers ...*analysis.Analyzer) {
 		os.Stdout.Write(data)
 		os.Exit(0)
 	}
+	selected := analyzers
 	if *runOnly != "" {
-		selected, err := Select(analyzers, *runOnly)
-		if err != nil {
+		var err error
+		if selected, err = Select(analyzers, *runOnly); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		analyzers = selected
 	}
 	args := flag.Args()
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
 		flag.Usage()
 		os.Exit(1)
 	}
-	diags, err := run(args[0], analyzers)
+	diags, err := run(args[0], selected, analyzers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -174,13 +174,14 @@ func printVersion() {
 		progname, string(h.Sum(nil)[:12]))
 }
 
-// run analyzes the unit described by cfgFile and returns its diagnostics.
 type diagnostic struct {
 	analysis.Diagnostic
 	position token.Position
 }
 
-func run(cfgFile string, analyzers []*analysis.Analyzer) ([]diagnostic, error) {
+// run analyzes the unit described by cfgFile with analyzers, a selection
+// from registry, and returns its diagnostics.
+func run(cfgFile string, analyzers, registry []*analysis.Analyzer) ([]diagnostic, error) {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		return nil, err
@@ -262,7 +263,7 @@ func run(cfgFile string, analyzers []*analysis.Analyzer) ([]diagnostic, error) {
 		// package itself is vetted.
 		toRun = factful
 	}
-	raw, err := analysis.Run(unit, toRun)
+	raw, err := analysis.Run(unit, toRun, registry)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,10 @@ import (
 // mutex-guarded free list that tracks the ownership state of every
 // buffer the pool has ever produced.  A double Put — which would let two
 // future Gets alias one backing array — panics at the offending Put
-// instead of surfacing later as silent data corruption.
+// instead of surfacing later as silent data corruption, and every Put
+// fills the buffer with poison, so a read through a stale reference
+// returns bytes no frame header, checksum or record oracle accepts (from
+// another goroutine it is also a reported race against the fill).
 //
 // Exactness matters: sync.Pool drops entries at random, after which the
 // GC may reuse a dropped buffer's address for an unrelated allocation,
@@ -55,24 +58,30 @@ func poolGet(c int) ([]byte, bool) {
 	return b, true
 }
 
+// poison is the byte a buffer is filled with on Put.
+const poison = 0xDB
+
 func poolPut(c int, b []byte) {
 	trackMu.Lock()
+	defer trackMu.Unlock()
 	p := base(b)
-	prev := tracked[p]
-	if prev == statePooled {
-		trackMu.Unlock()
+	if tracked[p] == statePooled {
 		panic(fmt.Sprintf("bufpool: double Put of %d-byte buffer %p", cap(b), p))
+	}
+	// Doubling copies: one instrumented write per power of two, not one
+	// per byte.
+	b[0] = poison
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
 	}
 	if len(free[c]) >= maxFreeDepth {
 		// Overflow: drop the buffer and forget it, so the GC may free it
 		// and its address can be reused without confusing the tracker.
 		delete(tracked, p)
-		trackMu.Unlock()
 		return
 	}
 	tracked[p] = statePooled
 	free[c] = append(free[c], b)
-	trackMu.Unlock()
 }
 
 // noteMake records a freshly-allocated pool buffer as outstanding.

@@ -28,6 +28,20 @@ func TestDoublePutPanicsUnderRace(t *testing.T) {
 	Put(b)
 }
 
+func TestPutPoisonsUnderRace(t *testing.T) {
+	b := Get(300)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	stale := b[:cap(b)]
+	Put(b)
+	for i, v := range stale {
+		if v != poison {
+			t.Fatalf("byte %d of a Put buffer reads %#x through a stale reference, want poison %#x", i, v, poison)
+		}
+	}
+}
+
 func TestOutstandingTracksGetPut(t *testing.T) {
 	before := Outstanding()
 	bufs := make([][]byte, 8)

@@ -42,8 +42,3 @@ func AppendBeUint16(dst []byte, v uint16) []byte {
 func AppendBeUint32(dst []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, v)
 }
-
-// AppendBeUint64 appends v big-endian to dst.
-func AppendBeUint64(dst []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, v)
-}

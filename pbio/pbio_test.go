@@ -369,6 +369,21 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := ctx.Register("zero", FieldSpec{Name: "x", Type: Int, Count: 0}); err == nil {
 		t.Error("zero count accepted")
 	}
+	// The rest of what a literal spec can get wrong, rejected here at
+	// registration (there is no compile-time check of spec literals).
+	for name, spec := range map[string]FieldSpec{
+		"empty field name":       F("", Int),
+		"reserved character":     F("a<b", Int),
+		"zero-length array":      Array("a", Int, 0),
+		"negative array length":  Array("a", Int, -1),
+		"struct with no fields":  Struct("h"),
+		"zero-length struct arr": StructArray("p", 0, F("x", Int)),
+		"duplicate in nested":    Struct("h", F("x", Int), F("x", Int)),
+	} {
+		if _, err := ctx.Register("r", F("ok", Int), spec); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestCrossContextWriteRejected(t *testing.T) {

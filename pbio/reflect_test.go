@@ -198,9 +198,20 @@ func TestRegisterStructErrors(t *testing.T) {
 		{"unsupported type", struct{ M map[string]int }{}},
 		{"unsupported elem", struct{ A [3]string }{}},
 		{"bad size tag", struct {
-			S string `pbio:"s,size=zero"` //pbiovet:allow tagcheck — intentionally malformed fixture
+			S string `pbio:"s,size=zero"`
 		}{}},
 		{"int (platform-dependent)", struct{ N int }{}},
+		{"non-positive size tag", struct {
+			S string `pbio:"s,size=0"`
+		}{}},
+		{"unsupported slice elem", struct {
+			S []string `pbio:"s,size=2"`
+		}{}},
+		{"zero-length array", struct{ A [0]int32 }{}},
+		{"reserved character in wire name", struct {
+			V int32 `pbio:"a<b"`
+		}{}},
+		{"nested struct with no usable fields", struct{ In struct{ hidden int } }{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -220,20 +231,20 @@ func TestRegisterStructDuplicateWireNames(t *testing.T) {
 	}{
 		{"explicit tag collides with default", struct {
 			Temp float64
-			T    float64 `pbio:"temp"` //pbiovet:allow tagcheck — intentional collision fixture
+			T    float64 `pbio:"temp"`
 		}{}, []string{"T", "Temp"}},
 		{"two explicit tags collide", struct {
 			A int32 `pbio:"v"`
-			B int32 `pbio:"v"` //pbiovet:allow tagcheck — intentional collision fixture
+			B int32 `pbio:"v"`
 		}{}, []string{"B", "A"}},
 		{"names collide after lower-casing", struct {
 			Value int32 `pbio:"V"`
-			V     int32 //pbiovet:allow tagcheck — intentional collision fixture
+			V     int32
 		}{}, []string{"V", "Value"}},
 		{"collision in nested struct", struct {
 			Inner struct {
 				X int32
-				Y int32 `pbio:"x"` //pbiovet:allow tagcheck — intentional collision fixture
+				Y int32 `pbio:"x"`
 			}
 		}{}, []string{"Y", "X"}},
 	}
