@@ -11,8 +11,8 @@
 //	ctx, _ := pbio.NewContext(pbio.WithFormatServer("127.0.0.1:7847"))
 //
 // With -metrics-addr the daemon serves /metrics (Prometheus text,
-// including pbio_go_* runtime families), /debug/vars (JSON),
-// /debug/trace, /debug/pprof/, /debug/flight (the flight-recorder
+// including pbio_go_* runtime families), /debug/pprof/,
+// /debug/flight (the flight-recorder
 // journal as a PBIO stream), /healthz (liveness) and /readyz
 // (readiness: 503 unless the format listener answers a probe dial).
 // Client-side retry/redial storms (the fmtserver client retries
@@ -38,7 +38,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7847", "address to listen on")
 	statsEvery := flag.Duration("stats", 0, "print server stats at this interval (0 = never)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/trace and /debug/pprof on this address (empty = disabled)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/flight and /debug/pprof on this address (empty = disabled)")
 	trace := flag.Bool("trace", false, "record a span per handled request, served at /debug/trace.json on -metrics-addr")
 	flightCap := flag.Int("flight", 4096, "flight recorder ring capacity in events (0 = disabled)")
 	flightDump := flag.String("flight-dump", "pbio-fmtd.flight.pbio", "write the flight journal here on SIGQUIT")

@@ -33,9 +33,8 @@
 // With -metrics-addr the relay serves its observability surface over
 // HTTP: /metrics (Prometheus text exposition of frame, byte and
 // checksum-failure counters plus queue-depth and drop gauges and the
-// pbio_go_* runtime families), /debug/vars (the same as JSON),
-// /debug/trace (recent wire-level trace events), /debug/pprof/
-// (net/http/pprof profiling), /debug/mesh (the hop's mesh-topology
+// pbio_go_* runtime families), /debug/pprof/ (net/http/pprof
+// profiling), /debug/mesh (the hop's mesh-topology
 // document — what pbio-mon crawls), /debug/flight (the flight-recorder
 // journal as a PBIO stream; see also SIGQUIT and -flight-dump),
 // /healthz (liveness) and /readyz (readiness: 503 until a configured
@@ -75,7 +74,7 @@ func run() error {
 	sums := flag.Bool("checksum-meta", false, "checksum relay-originated frames (meta and re-batched data)")
 	rebatch := flag.Int("rebatch", 0, "coalesce consecutive same-format records into batch frames of up to this many payload bytes (0 = forward verbatim)")
 	statsEvery := flag.Duration("stats", 0, "print relay stats at this interval (0 = never)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/trace and /debug/pprof on this address (empty = disabled)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/mesh, /debug/flight and /debug/pprof on this address (empty = disabled)")
 	traceRate := flag.Float64("trace-rate", 0, "participate in cross-hop traces: record a relay span for every forwarded frame carrying wire trace context (any rate > 0 enables; spans served at /debug/trace.json on -metrics-addr)")
 	uplink := flag.String("uplink", "", "attach below an upstream relay: its consumer address to dial (empty = this relay is a root)")
 	subscribe := flag.String("subscribe", "", "comma-separated format names to subscribe the -uplink to (empty = auto: the live union of what this relay's own consumers want)")

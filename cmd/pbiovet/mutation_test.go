@@ -37,7 +37,7 @@ func unsuppress(name, analyzer, file, rest, want string) mutation {
 // passes.All.
 var mutations = []mutation{
 	// lockcheck: blocking work under relay.Server.mu.
-	{"lock/push-in-broadcast", "lockcheck", "internal/relay/relay.go",
+	{"lock/push-in-broadcast", "lockcheck", "internal/relay/fanout.go",
 		"if c.q.pushNoWait(of) == pushOverflow {",
 		"if c.q.push(of) == pushOverflow {",
 		"call to push (may block) while holding s.mu"},
@@ -45,7 +45,7 @@ var mutations = []mutation{
 		"\tfor u := range s.uplinks {\n\t\tu.conn.Close()\n",
 		"\tfor u := range s.uplinks {\n\t\tu.conn.Write(nil)\n\t\tu.conn.Close()\n",
 		"call to Write (interface I/O method) while holding s.mu"},
-	{"lock/bare-send-in-notifyUplinks", "lockcheck", "internal/relay/relay.go",
+	{"lock/bare-send-in-notifyUplinks", "lockcheck", "internal/relay/uplink.go",
 		"\t\t\tselect {\n\t\t\tcase u.kick <- struct{}{}:\n\t\t\tdefault:\n\t\t\t}\n",
 		"\t\t\tu.kick <- struct{}{}\n",
 		"channel send while holding s.mu"},
@@ -54,14 +54,14 @@ var mutations = []mutation{
 	unsuppress("lock/allow-fmtserver-exchange", "lockcheck", "internal/fmtserver/fmtserver.go",
 		"the request/response exchange is what c.mu serializes", "call to do (may block) while holding c.mu"),
 	unsuppress("lock/allow-uplink-write", "lockcheck", "internal/relay/uplink.go",
-		"u.mu exists to serialize frame bytes", "call to WriteFrame (may block) while holding u.mu"),
+		"u.mu exists to serialize frame bytes", "call to Write (may block) while holding u.mu"),
 
 	// alloccheck: allocations in //pbio:hotpath noalloc=0 functions.
 	{"alloc/append-in-WriteRecord", "alloccheck", "internal/transport/transport.go",
-		"\treturn t.emit(msgData, id, data, \"data\")\n",
-		"\tvar cp []byte\n\tcp = append(cp, data...)\n\treturn t.emit(msgData, id, cp, \"data\")\n",
+		"\treturn t.emit(FrameData, id, \"data\", data)\n",
+		"\tvar cp []byte\n\tcp = append(cp, data...)\n\treturn t.emit(FrameData, id, \"data\", cp)\n",
 		"append to a slice declared without capacity (grows and allocates) in //pbio:hotpath noalloc=0 function WriteRecord"},
-	{"alloc/make-in-broadcast", "alloccheck", "internal/relay/relay.go",
+	{"alloc/make-in-broadcast", "alloccheck", "internal/relay/fanout.go",
 		"\tsent := 0\n\tvar drop []*consumer\n",
 		"\tsent := 0\n\tdrop := make([]*consumer, 0, len(s.consumers))\n",
 		"make (allocates) in //pbio:hotpath noalloc=0 function broadcast"},
@@ -69,6 +69,16 @@ var mutations = []mutation{
 		"\treturn t.spill[id]\n",
 		"\tif t.spill == nil {\n\t\tt.spill = make(map[uint32]*T)\n\t}\n\treturn t.spill[id]\n",
 		"make (allocates) in //pbio:hotpath noalloc=0 function Lookup"},
+	// The two allocations per frame the one frame codec deleted (ROADMAP
+	// 4): a header on the reader's stack, an iovec built per write.
+	{"alloc/stack-header-in-FrameReader.Next", "alloccheck", "internal/transport/frame.go",
+		"\tif _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {\n",
+		"\tvar hdr [frameHeaderSize]byte\n\tif _, err := io.ReadFull(fr.r, hdr[:]); err != nil {\n",
+		"local array sliced into a call with an interface argument (escapes to the heap) in //pbio:hotpath noalloc=0 function Next"},
+	{"alloc/literal-Buffers-in-FrameWriter.Write", "alloccheck", "internal/transport/frame.go",
+		"\tfw.nb = net.Buffers(fw.vec)\n\twritten, err := fw.nb.WriteTo(fw.w)\n",
+		"\tbufs := net.Buffers{fw.hdr[:], parts[0]}\n\twritten, err := bufs.WriteTo(fw.w)\n",
+		"slice literal (allocates its backing array when it escapes) in //pbio:hotpath noalloc=0 function Write"},
 	{"alloc/closure-in-Message.state", "alloccheck", "pbio/stream.go",
 		"\treturn &r.state[m.msg.Ord]\n",
 		"\tat := func() *formatState { return &r.state[m.msg.Ord] }\n\treturn at()\n",
@@ -81,15 +91,15 @@ var mutations = []mutation{
 		"plain access to field Format.fp, which is accessed with sync/atomic elsewhere"},
 
 	// endiancheck: byte-order arithmetic outside the layout layers.
-	{"endian/shift-in-ReadFrame", "endiancheck", "internal/transport/transport.go",
-		"n := int(wire.BeUint32(hdr[7:]))",
-		"n := int(uint32(hdr[7])<<24 | uint32(hdr[8])<<16 | uint32(hdr[9])<<8 | uint32(hdr[10]))",
+	{"endian/shift-in-ReadFrame", "endiancheck", "internal/transport/frame.go",
+		"n := int(wire.BeUint32(fr.hdr[7:]))",
+		"n := int(uint32(fr.hdr[7])<<24 | uint32(fr.hdr[8])<<16 | uint32(fr.hdr[9])<<8 | uint32(fr.hdr[10]))",
 		"manual shift-and-mask byte decoding outside the layout layer"},
 
 	// senterr: a wrapped sentinel compared with == (an identity "fast
 	// path" in front of the errors.Is, which also keeps the file's only
 	// use of the errors import).
-	{"senterr/eq-ErrCorruptFrame", "senterr", "internal/relay/relay.go",
+	{"senterr/eq-ErrCorruptFrame", "senterr", "internal/relay/ingest.go",
 		"case errors.Is(err, transport.ErrCorruptFrame):",
 		"case err == transport.ErrCorruptFrame || errors.Is(err, transport.ErrCorruptFrame):",
 		"comparing against sentinel transport.ErrCorruptFrame with =="},

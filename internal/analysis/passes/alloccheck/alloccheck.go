@@ -17,7 +17,9 @@
 //   - closures that capture variables;
 //   - interface boxing of non-pointer values at call arguments;
 //   - append to a slice declared empty in the same function;
-//   - make, new, &T{...}, and map/chan composite allocations.
+//   - make, new, &T{...}, and map, chan and slice literals;
+//   - a local array sliced into a call that also takes an interface
+//     value (io.ReadFull(r, hdr[:]): the array moves to the heap).
 //
 // Error paths are expected to allocate: any block ending by returning a
 // non-nil error (or panicking) is cold and exempt.  A site that is
@@ -299,6 +301,10 @@ func (w *walker) expr(e ast.Expr) {
 				switch tv.Type.Underlying().(type) {
 				case *types.Map:
 					w.add(n.Pos(), "map literal (allocates)")
+				case *types.Slice:
+					if len(n.Elts) > 0 {
+						w.add(n.Pos(), "slice literal (allocates its backing array when it escapes)")
+					}
 				}
 			}
 		}
@@ -342,6 +348,38 @@ func (w *walker) call(call *ast.CallExpr) {
 		}
 	}
 	w.checkBoxing(call)
+	w.checkLocalArrayEscape(call)
+}
+
+// checkLocalArrayEscape flags a local array sliced into a call that also
+// takes an interface value: the callee may hand the slice to a dynamic
+// method (io.ReadFull passes it to r.Read), so the array moves to the heap.
+func (w *walker) checkLocalArrayEscape(call *ast.CallExpr) {
+	dynamic := false
+	var arrays []ast.Expr
+	for _, arg := range call.Args {
+		if t := w.pass.TypesInfo.Types[arg].Type; t != nil && types.IsInterface(t) {
+			dynamic = true
+		}
+		se, _ := ast.Unparen(arg).(*ast.SliceExpr)
+		if se == nil {
+			continue
+		}
+		id, _ := ast.Unparen(se.X).(*ast.Ident)
+		v, _ := w.pass.TypesInfo.Uses[id].(*types.Var)
+		if v == nil || v.IsField() || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+			continue
+		}
+		if _, ok := v.Type().Underlying().(*types.Array); ok {
+			arrays = append(arrays, arg)
+		}
+	}
+	if !dynamic {
+		return
+	}
+	for _, arg := range arrays {
+		w.add(arg.Pos(), "local array sliced into a call with an interface argument (escapes to the heap)")
+	}
 }
 
 // checkBoxing flags non-pointer concrete values passed to interface

@@ -5,6 +5,8 @@ package allocfix
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 )
 
 var sink interface{}
@@ -92,6 +94,28 @@ type header struct{ buf []byte }
 //pbio:hotpath noalloc=0 fixture
 func freshHeader(b []byte) *header {
 	return &header{buf: b} // want `address of composite literal \(allocates when it escapes\) in //pbio:hotpath noalloc=0 function freshHeader`
+}
+
+// stackHeader reads into a local array through an interface: the array
+// escapes.  A field of a persistent struct is the fix, and is clean.
+//
+//pbio:hotpath noalloc=0 fixture
+func stackHeader(r io.Reader, h *header) error {
+	var hdr [11]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil { // want `local array sliced into a call with an interface argument \(escapes to the heap\) in //pbio:hotpath noalloc=0 function stackHeader`
+		return err
+	}
+	_, err := io.ReadFull(r, h.buf[:4])
+	return err
+}
+
+// literalBuffers builds its iovec per call.
+//
+//pbio:hotpath noalloc=0 fixture
+func literalBuffers(w io.Writer, a, b []byte) error {
+	bufs := net.Buffers{a, b} // want `slice literal \(allocates its backing array when it escapes\) in //pbio:hotpath noalloc=0 function literalBuffers`
+	_, err := bufs.WriteTo(w)
+	return err
 }
 
 // notAnnotated is free to allocate: no budget, no diagnostics.

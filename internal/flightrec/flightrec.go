@@ -228,6 +228,9 @@ func (r *Recorder) ChecksumFailure(subject string) { r.Emit(KindChecksumFailure,
 // DeadlineTimeout records a read or write that hit its deadline.
 func (r *Recorder) DeadlineTimeout(subject string) { r.Emit(KindDeadlineTimeout, subject, 0, 0, 0) }
 
+// FormatLearned records a reader binding a format new to its stream.
+func (r *Recorder) FormatLearned(subject string) { r.Emit(KindFormatLearned, subject, 0, 0, 0) }
+
 // DCGCompile records a conversion-program compilation: the latency in
 // arg1 and the fused shape — run-op count, word-wide swap ops per
 // record, per-record step fallbacks — packed into arg2 with BatchShape.

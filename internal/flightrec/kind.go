@@ -40,6 +40,13 @@ const (
 	KindDCGCompile      // a conversion program was compiled (arg1: compile nanos; arg2: fused shape, see BatchShape — 0 in journals written before the engines merged)
 	kindDCGBatchCompile // retired with the separate batch engine; never emitted, named so old journals still render
 
+	// Appended when the string trace ring was retired: the events it
+	// alone carried.
+	KindResync          // relay: a corrupt producer frame was skipped and the stream re-aligned
+	KindProducerDropped // relay: a producer or uplink was dropped (subject: the cause)
+	KindSubscription    // relay: a consumer's want-list was applied (subject: the consumer; arg1: names wanted, 0 = all)
+	KindFormatLearned   // transport: a reader bound a format new to its stream (subject: format name)
+
 	numKinds
 )
 
@@ -62,6 +69,10 @@ var kindNames = [...]string{
 	KindMetaRegister:     "MetaRegister",
 	KindDCGCompile:       "DCGCompile",
 	kindDCGBatchCompile:  "DCGBatchCompile",
+	KindResync:           "Resync",
+	KindProducerDropped:  "ProducerDropped",
+	KindSubscription:     "Subscription",
+	KindFormatLearned:    "FormatLearned",
 }
 
 // String returns the symbolic name of the kind, or "Kind(n)" for values

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/flightrec"
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/tracectx"
 	"repro/internal/wire"
 )
@@ -227,7 +226,6 @@ type Client struct {
 	ids     map[string]FormatID // fingerprint -> ID
 
 	counts clientCounters
-	trace  atomic.Pointer[telemetry.TraceRing]
 	tracer atomic.Pointer[tracectx.Tracer]
 	flight atomic.Pointer[flightrec.Recorder]
 }
@@ -388,7 +386,6 @@ func (c *Client) roundTrip(op byte, payload []byte) (byte, []byte, error) {
 				break
 			}
 			c.counts.retries.Add(1)
-			c.trace.Load().Emit("fmtserver", "retry", fmt.Sprintf("attempt %d: %v", attempt+1, lastErr))
 			c.flight.Load().Emit(flightrec.KindFmtRetry, opName(op), 0, int64(attempt+1), 0)
 			//pbiovet:allow lockcheck — c.mu serializes the one-request-at-a-time protocol on this connection; backing off while holding it just extends the current request's turn.
 			time.Sleep(c.backoff << (attempt - 1))
@@ -398,7 +395,6 @@ func (c *Client) roundTrip(op byte, payload []byte) (byte, []byte, error) {
 				continue
 			}
 			c.counts.redials.Add(1)
-			c.trace.Load().Emit("fmtserver", "redial", "")
 			c.flight.Load().Emit(flightrec.KindConnOpen, "fmtserver redial", 0, 0, 0)
 			c.conn.Close()
 			c.conn = conn

@@ -39,12 +39,11 @@ func (c *clientCounters) snapshot() ClientStats {
 func (c *Client) Stats() ClientStats { return c.counts.snapshot() }
 
 // SetTelemetry exports the client's counters on r as export-time-read
-// functions and routes retry/redial trace events into r's trace ring.
+// functions.
 func (c *Client) SetTelemetry(r *telemetry.Registry) {
 	if r == nil {
 		return
 	}
-	c.trace.Store(r.Trace())
 	r.CounterFunc("pbio_fmtclient_requests_total", "Format-server round trips initiated.", c.counts.requests.Load)
 	r.CounterFunc("pbio_fmtclient_cache_hits_total", "Register/Lookup calls answered from the local cache.", c.counts.cacheHits.Load)
 	r.CounterFunc("pbio_fmtclient_retries_total", "Round-trip attempts beyond the first (backoff loop).", c.counts.retries.Load)

@@ -29,14 +29,13 @@ import (
 // so ten thousand concurrent consumers cost a small buffered reader
 // each, not a full decode context.
 func countRecords(conn net.Conn, want int, deadline time.Time) (int, error) {
-	br := bufio.NewReaderSize(conn, 512)
+	fr := transport.NewFrameReader(bufio.NewReaderSize(conn, 512))
+	defer fr.Release()
 	sizes := make(map[uint32]int)
-	var buf []byte
 	n := 0
 	for n < want {
 		conn.SetReadDeadline(deadline)
-		f, nbuf, err := transport.ReadFrame(br, buf)
-		buf = nbuf
+		f, err := fr.Next()
 		if err != nil {
 			return n, err
 		}
@@ -481,7 +480,7 @@ func TestMeshSubscriptionRouting(t *testing.T) {
 	}
 	defer lconn.Close()
 	defer rconn.Close()
-	if err := transport.WriteSubscription(lconn, transport.Subscription{Names: []string{"alpha"}}); err != nil {
+	if err := transport.NewFrameWriter(lconn).WriteSubscription(transport.Subscription{Names: []string{"alpha"}}); err != nil {
 		t.Fatal(err)
 	}
 

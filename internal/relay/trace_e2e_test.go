@@ -259,11 +259,10 @@ func TestTraceLostSpanAccounting(t *testing.T) {
 	// frame (frame 0 is meta).  The checksum covers the body, so the
 	// relay must detect and discard exactly that record.
 	var frames []transport.Frame
-	br := bytes.NewReader(stream)
-	var buf []byte
+	fr := transport.NewFrameReader(bytes.NewReader(stream))
+	defer fr.Release()
 	for {
-		f, nbuf, err := transport.ReadFrame(br, buf)
-		buf = nbuf
+		f, err := fr.Next()
 		if err == io.EOF {
 			break
 		}
@@ -279,8 +278,9 @@ func TestTraceLostSpanAccounting(t *testing.T) {
 	corrupted := 3
 	frames[corrupted].Payload[len(frames[corrupted].Payload)/2] ^= 0x40
 	var mangled bytes.Buffer
+	fw := transport.NewFrameWriter(&mangled)
 	for _, f := range frames {
-		if err := transport.WriteFrame(&mangled, f); err != nil {
+		if _, err := fw.Write(f.Kind, f.FormatID, false, f.Payload); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package relay
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 
 	"repro/internal/flightrec"
@@ -18,6 +19,7 @@ import (
 type Uplink struct {
 	s    *Server
 	conn net.Conn
+	fw   *transport.FrameWriter // conn's upstream direction; serialized by mu
 
 	// static, when non-nil, is a fixed want-list sent once.  Nil means
 	// auto mode: the uplink advertises the live union of what this
@@ -88,6 +90,7 @@ func (s *Server) RunUplinkTo(conn net.Conn, static *transport.Subscription, addr
 	u := &Uplink{
 		s:      s,
 		conn:   conn,
+		fw:     transport.NewFrameWriter(conn),
 		static: static,
 		addr:   addr,
 		kick:   make(chan struct{}, 1),
@@ -127,7 +130,7 @@ func (s *Server) RunUplinkTo(conn net.Conn, static *transport.Subscription, addr
 	// The upstream is just a producer from here down — renumbered meta,
 	// verbatim or re-batched data, trace spans per hop — plus the
 	// identity reply of the mesh handshake.
-	s.serveProducerFrom(conn, u)
+	s.serveProducer(conn, u)
 	return nil
 }
 
@@ -172,7 +175,7 @@ func (u *Uplink) send(sub transport.Subscription) error {
 		return nil
 	}
 	//pbiovet:allow lockcheck — u.mu exists to serialize frame bytes on this connection; holding it across the write is the point, and the upstream peer never needs this lock to drain its side.
-	if err := transport.WriteFrame(u.conn, transport.Frame{Kind: transport.FrameSub, Payload: enc}); err != nil {
+	if _, err := u.fw.Write(transport.FrameSub, 0, false, enc); err != nil {
 		return err
 	}
 	u.last = string(enc)
@@ -181,4 +184,53 @@ func (u *Uplink) send(sub transport.Subscription) error {
 	u.lastNames = append(u.lastNames[:0], sub.Names...)
 	u.peerMu.Unlock()
 	return nil
+}
+
+// downstreamUnion returns the union of every connected consumer's
+// subscription — what this relay needs from upstream.  Any
+// all-subscriber makes the union All; so does having no consumers at
+// all, the conservative "nothing known yet" default: a hop must never
+// filter away data that a consumer still mid-registration would have
+// wanted, so filtering only engages once explicit subscriptions exist.
+// (The converse race is inherent to pub/sub and accepted: a consumer
+// that *widens* a hop's union can miss frames broadcast while the wider
+// union propagates upstream — subscribe before producing, exactly as
+// flat-relay consumers connect before producing.)
+func (s *Server) downstreamUnion() transport.Subscription {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.consumers) == 0 {
+		return transport.Subscription{All: true}
+	}
+	names := make(map[string]bool)
+	for c := range s.consumers {
+		if c.all {
+			return transport.Subscription{All: true}
+		}
+		for _, n := range c.sub.Names {
+			names[n] = true
+		}
+	}
+	out := make([]string, 0, len(names))
+	for n := range names {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return transport.Subscription{Names: out}
+}
+
+// notifyUplinks kicks every auto-subscription uplink to re-derive and —
+// if it changed — re-send the downstream union.  Non-blocking: the kick
+// channel holds one pending update; coalescing bursts is exactly right.
+func (s *Server) notifyUplinks() {
+	s.mu.Lock()
+	for u := range s.uplinks {
+		if u.static == nil {
+			select {
+			case u.kick <- struct{}{}:
+			default:
+			}
+		}
+	}
+	s.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -116,25 +115,6 @@ func escapeHelp(h string) string {
 	return strings.ReplaceAll(h, "\n", `\n`)
 }
 
-// jsonSnapshot is the /debug/vars-style document.
-type jsonSnapshot struct {
-	Metrics []MetricSnapshot `json:"metrics"`
-	Trace   *traceSnapshot   `json:"trace,omitempty"`
-}
-
-type traceSnapshot struct {
-	Dropped int64   `json:"dropped"`
-	Events  []Event `json:"events"`
-}
-
-// WriteJSON renders every family (and optionally nothing else) as one
-// JSON document.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonSnapshot{Metrics: r.Snapshot()})
-}
-
 // Handler returns the Prometheus text endpoint.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -162,25 +142,12 @@ func (r *Registry) Handle(pattern string, h http.Handler) {
 // ServeMux returns the full observability surface:
 //
 //	/metrics            Prometheus text exposition
-//	/debug/vars         JSON metric snapshot (expvar-style)
-//	/debug/trace        JSON dump of the trace-event ring
 //	/debug/pprof/       net/http/pprof profiling endpoints
 //	plus any endpoints mounted with Handle (/debug/trace.json when a
 //	tracectx tracer is exported on this registry)
 func (r *Registry) ServeMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		r.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		tr := r.Trace()
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(traceSnapshot{Dropped: tr.Dropped(), Events: tr.Snapshot()})
-	})
 	// net/http/pprof only self-registers on http.DefaultServeMux; wire
 	// its handlers into ours explicitly so daemons never expose a
 	// default mux by accident.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
@@ -108,27 +107,10 @@ func TestPrometheusHistogramCumulative(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrips(t *testing.T) {
-	var b strings.Builder
-	if err := goldenRegistry().WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Metrics []MetricSnapshot `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc.Metrics) != 8 {
-		t.Fatalf("decoded %d metric families, want 8", len(doc.Metrics))
-	}
-}
-
 // TestServeMuxEndpoints drives the full observability surface over HTTP:
-// /metrics, /debug/vars, /debug/trace and /debug/pprof/.
+// /metrics and /debug/pprof/.
 func TestServeMuxEndpoints(t *testing.T) {
 	r := goldenRegistry()
-	r.Trace().Emit("test", "hello", "world")
 	srv := httptest.NewServer(r.ServeMux())
 	defer srv.Close()
 
@@ -155,26 +137,6 @@ func TestServeMuxEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(body, "pbio_frames_total 42") {
 		t.Errorf("/metrics missing counter:\n%s", body)
-	}
-
-	body, ctype = get("/debug/vars")
-	if !strings.HasPrefix(ctype, "application/json") {
-		t.Errorf("/debug/vars content-type = %q", ctype)
-	}
-	if !json.Valid([]byte(body)) {
-		t.Errorf("/debug/vars is not valid JSON")
-	}
-
-	body, _ = get("/debug/trace")
-	var tr struct {
-		Dropped int64   `json:"dropped"`
-		Events  []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &tr); err != nil {
-		t.Fatalf("/debug/trace: %v", err)
-	}
-	if len(tr.Events) != 1 || tr.Events[0].Name != "hello" {
-		t.Errorf("/debug/trace events = %+v, want one 'hello'", tr.Events)
 	}
 
 	if body, _ = get("/debug/pprof/"); !strings.Contains(body, "profile") {

@@ -3,8 +3,8 @@ package telemetry
 // Quantile estimation from the fixed-log2-bucket histograms.
 //
 // The exporter publishes raw bucket counts (Prometheus computes its own
-// quantiles), but JSON consumers — wireperf's breakdown, dashboards fed
-// from /debug/vars — want ready-made p50/p90/p99.  With log2 buckets the
+// quantiles), but in-process consumers of Snapshot — wireperf's breakdown
+// — and people reading /metrics want ready-made p50/p90/p99.  With log2 buckets the
 // estimate is the classic rank walk: find the bucket holding the rank,
 // then interpolate linearly inside it.  Error is bounded by the bucket
 // width (at most 2× between adjacent bounds), which is the precision the

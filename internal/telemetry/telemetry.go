@@ -1,8 +1,8 @@
-// Package telemetry is a stdlib-only metrics and tracing layer for the
-// PBIO wire-path: atomic counters and gauges, fixed-log-bucket latency
-// histograms, labeled metric families, a Prometheus-text + JSON exporter
-// served over net/http, and a bounded drop-oldest ring buffer of
-// structured trace events.
+// Package telemetry is a stdlib-only metrics layer for the PBIO
+// wire-path: atomic counters and gauges, fixed-log-bucket latency
+// histograms, labeled metric families and a Prometheus-text exporter
+// served over net/http.  (Discrete events are internal/flightrec's,
+// spans internal/telemetry/tracectx's.)
 //
 // The paper's whole argument is quantitative — zero sender-side encode
 // cost, cheap or DCG-compiled conversion, zero-copy homogeneous receives
@@ -271,14 +271,13 @@ func (f *family) sortedChildren() []*child {
 	return out
 }
 
-// Registry holds metric families in registration order plus the trace
-// ring.  All methods are safe for concurrent use and safe on a nil
-// receiver (returning nil metrics).
+// Registry holds metric families in registration order.  All methods are
+// safe for concurrent use and safe on a nil receiver (returning nil
+// metrics).
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
-	trace    *TraceRing
 
 	// handlers are extra debug endpoints mounted on the registry's
 	// ServeMux (see Handle in export.go) — the hook that lets
@@ -288,20 +287,9 @@ type Registry struct {
 	handlers map[string]http.Handler
 }
 
-// NewRegistry returns an empty registry with a default-sized trace ring.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName: make(map[string]*family),
-		trace:  NewTraceRing(defaultTraceCap),
-	}
-}
-
-// Trace returns the registry's trace-event ring (nil for a nil registry).
-func (r *Registry) Trace() *TraceRing {
-	if r == nil {
-		return nil
-	}
-	return r.trace
+	return &Registry{byName: make(map[string]*family)}
 }
 
 // fam returns the named family, creating it on first use.  Registering

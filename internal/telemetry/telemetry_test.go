@@ -79,10 +79,6 @@ func TestNilSafety(t *testing.T) {
 	r.HistogramVec("x", "", "l").With("v").Observe(1)
 	r.CounterFunc("x", "", func() int64 { return 1 })
 	r.GaugeFunc("x", "", func() int64 { return 1 })
-	r.Trace().Emit("cat", "name", "detail")
-	if r.Trace().Len() != 0 || r.Trace().Dropped() != 0 || r.Trace().Snapshot() != nil {
-		t.Fatal("nil trace ring should read as empty")
-	}
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot should be nil")
 	}
@@ -193,7 +189,6 @@ func TestConcurrentIncrements(t *testing.T) {
 				g.Add(1)
 				h.Observe(int64(j))
 				mine.Inc()
-				r.Trace().Emit("test", "tick", "")
 			}
 		}(i)
 	}
@@ -204,7 +199,6 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				r.Snapshot()
-				r.Trace().Snapshot()
 			}
 		}()
 	}
@@ -227,39 +221,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	if vecSum != total {
 		t.Errorf("vec sum = %d, want %d", vecSum, total)
-	}
-	ring := r.Trace()
-	if ring.Len()+int(ring.Dropped()) != total {
-		t.Errorf("trace held %d + dropped %d, want %d total", ring.Len(), ring.Dropped(), total)
-	}
-}
-
-func TestTraceRingWrap(t *testing.T) {
-	tr := NewTraceRing(4)
-	for i := 0; i < 6; i++ {
-		tr.Emit("cat", "ev", fmt.Sprint(i))
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tr.Len())
-	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", tr.Dropped())
-	}
-	evs := tr.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		// Oldest first: events 2..5 survive (seq 3..6).
-		if want := fmt.Sprint(i + 2); e.Detail != want {
-			t.Errorf("event %d detail = %q, want %q", i, e.Detail, want)
-		}
-		if e.Seq != uint64(i+3) {
-			t.Errorf("event %d seq = %d, want %d", i, e.Seq, i+3)
-		}
-		if e.Cat != "cat" || e.Name != "ev" || e.Time.IsZero() {
-			t.Errorf("event %d = %+v, want cat/ev with a timestamp", i, e)
-		}
 	}
 }
 

@@ -64,7 +64,7 @@ type Span struct {
 func (s *Span) End() time.Time { return s.Start.Add(s.Dur) }
 
 // Collector is a bounded drop-oldest buffer of finished spans.  Like the
-// telemetry TraceRing it is cheap to feed (one mutex, no allocation) and
+// flight recorder it is cheap to feed (one mutex, no allocation) and
 // overwrites the oldest span when full, counting every overwrite —
 // dropped spans are accounted for, never silently lost.
 type Collector struct {

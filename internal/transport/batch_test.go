@@ -305,7 +305,7 @@ func TestBatchPayloadNotMultipleIsCorrupt(t *testing.T) {
 	// multiple of the record size.
 	bad := make([]byte, f.Size+1)
 	var hdr [frameHeaderSize]byte
-	putHeader(hdr[:], msgBatch, 1, len(bad))
+	putHeader(hdr[:], FrameBatch, 1, len(bad))
 	buf.Write(hdr[:])
 	buf.Write(bad)
 
@@ -329,7 +329,7 @@ func TestEmptyBatchPayloadIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hdr [frameHeaderSize]byte
-	putHeader(hdr[:], msgBatch, 1, 0)
+	putHeader(hdr[:], FrameBatch, 1, 0)
 	buf.Write(hdr[:])
 
 	r := NewReader(&buf)

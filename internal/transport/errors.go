@@ -5,11 +5,9 @@ import (
 	"errors"
 	"hash/crc32"
 	"time"
-
-	"repro/internal/wire"
 )
 
-// Typed protocol errors.  Every error returned by ReadFrame, ReadMessage,
+// Typed protocol errors.  Every error returned by FrameReader.Next, ReadMessage,
 // and WriteRecord wraps exactly one of these sentinels (or is io.EOF at a
 // clean frame boundary), so callers can distinguish failure classes with
 // errors.Is and react differently: a corrupt frame may be survivable by
@@ -56,7 +54,7 @@ func Resync(br *bufio.Reader, max int) (skipped int, err error) {
 		if err != nil {
 			return skipped, err
 		}
-		if wire.BeUint16(b) == frameMagic {
+		if hasMagic(b) {
 			return skipped, nil
 		}
 		if _, err := br.Discard(1); err != nil {

@@ -97,15 +97,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: FrameMetaRef, FormatID: 2, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		{Kind: FrameData, FormatID: 2, Payload: nil},
 	}
+	fw := NewFrameWriter(&buf)
 	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
+		if _, err := fw.Write(f.Kind, f.FormatID, false, f.Payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var scratch []byte
+	fr := NewFrameReader(&buf)
+	defer fr.Release()
 	for i, want := range frames {
-		got, nbuf, err := ReadFrame(&buf, scratch)
-		scratch = nbuf
+		got, err := fr.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -114,7 +115,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, _, err := ReadFrame(&buf, scratch); err != io.EOF {
+	if _, err := fr.Next(); err != io.EOF {
 		t.Errorf("end of frames: %v, want EOF", err)
 	}
 }
@@ -126,7 +127,7 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 		{0x50, 0x42, 1, 0, 0, 0, 1, 0xFF, 0, 0, 0}, // huge payload
 	}
 	for i, c := range cases {
-		if _, _, err := ReadFrame(bytes.NewReader(c), nil); err == nil || err == io.EOF {
+		if _, err := NewFrameReader(bytes.NewReader(c)).Next(); err == nil || err == io.EOF {
 			t.Errorf("case %d accepted: %v", i, err)
 		}
 	}
@@ -135,8 +136,8 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 func TestWriteFrameToFailingSink(t *testing.T) {
 	f := Frame{Kind: FrameData, FormatID: 1, Payload: make([]byte, 100)}
 	for _, n := range []int{0, 5, 11, 50} {
-		if err := WriteFrame(&failAfter{n: n}, f); err == nil {
-			t.Errorf("WriteFrame succeeded with sink failing at %d", n)
+		if _, err := NewFrameWriter(&failAfter{n: n}).Write(f.Kind, f.FormatID, false, f.Payload); err == nil {
+			t.Errorf("FrameWriter.Write succeeded with sink failing at %d", n)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestFormatServerModeWithoutResolver(t *testing.T) {
 
 func TestMetaRefBadPayloadLength(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Kind: FrameMetaRef, FormatID: 1, Payload: []byte{1, 2}}); err != nil {
+	if _, err := NewFrameWriter(&buf).Write(FrameMetaRef, 1, false, []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/abi"
@@ -30,13 +32,25 @@ func fuzzStream(tb testing.TB, n int, sums bool) []byte {
 	return buf.Bytes()
 }
 
+// goldenStream returns one of the committed streams of the relay's golden
+// test (internal/relay/golden_test.go): two sender ABIs, nested and
+// trace-extended formats, batch frames, checksums, relay-renumbered IDs.
+func goldenStream(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "relay", "testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // FuzzReadFrame feeds arbitrary bytes to the frame parser.  Whatever
-// comes in, ReadFrame must not panic, must never return a payload larger
-// than its bounds, and any frame it accepts must survive a
+// comes in, FrameReader.Next must not panic, must never return a payload
+// larger than its bounds, and any frame it accepts must survive a
 // write-then-reread round trip unchanged.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(fuzzStream(f, 1, false))
-	f.Add(fuzzStream(f, 2, true))
+	f.Add(goldenStream(f, "producer1.pbio"))
+	f.Add(goldenStream(f, "consumer.pbio"))
 	// A hand-built frame with a corrupted length field.
 	bad := fuzzStream(f, 1, false)
 	if len(bad) > 10 {
@@ -47,7 +61,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{'P', 'B'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := ReadFrame(bytes.NewReader(data), nil)
+		fr, err := NewFrameReader(bytes.NewReader(data)).Next()
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrPeerGone) && err != io.EOF {
 				t.Fatalf("untyped error: %v", err)
@@ -65,10 +79,10 @@ func FuzzReadFrame(f *testing.F) {
 		// Round trip: re-serialize and re-read; the frame must be
 		// byte-identical.
 		var out bytes.Buffer
-		if err := WriteFrame(&out, fr); err != nil {
-			t.Fatalf("WriteFrame on accepted frame: %v", err)
+		if _, err := NewFrameWriter(&out).Write(fr.Kind, fr.FormatID, false, fr.Payload); err != nil {
+			t.Fatalf("FrameWriter.Write on accepted frame: %v", err)
 		}
-		fr2, _, err := ReadFrame(&out, nil)
+		fr2, err := NewFrameReader(&out).Next()
 		if err != nil {
 			t.Fatalf("reread of written frame: %v", err)
 		}
@@ -84,8 +98,8 @@ func FuzzReadFrame(f *testing.F) {
 // size matches the record bytes exactly — a corrupt stream may fail, but
 // it must never surface a malformed record as valid.
 func FuzzReadMessage(f *testing.F) {
-	f.Add(fuzzStream(f, 1, false))
-	f.Add(fuzzStream(f, 3, false))
+	f.Add(goldenStream(f, "producer1.pbio"))
+	f.Add(goldenStream(f, "producer2.pbio"))
 	f.Add(fuzzStream(f, 2, true))
 	// Seeds with single-byte corruptions at interesting offsets: kind,
 	// format ID, length, first payload byte.

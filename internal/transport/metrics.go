@@ -38,10 +38,6 @@ type Metrics struct {
 	ChecksumFailures *telemetry.Counter
 	DeadlineTimeouts *telemetry.Counter
 
-	// Trace, when non-nil, receives wire-level trace events (formats
-	// learned, checksum failures, timeouts).
-	Trace *telemetry.TraceRing
-
 	// Flight, when non-nil, receives discrete wire faults for the
 	// flight journal.  Transport cannot import the recorder (it sits
 	// below it in the import graph), so the sink is the narrow
@@ -52,10 +48,11 @@ type Metrics struct {
 
 // FlightSink receives the transport layer's journal-worthy events.
 // Implementations must tolerate concurrent calls; all calls happen on
-// error paths, never per-frame.
+// error paths or once per format, never per-frame.
 type FlightSink interface {
 	ChecksumFailure(subject string)
 	DeadlineTimeout(subject string)
+	FormatLearned(subject string)
 }
 
 // nopMetrics is the shared disabled-telemetry instance: all handles nil,
@@ -83,7 +80,6 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		BatchBytesWritten:   r.Counter("pbio_transport_batch_bytes_written_total", "Record bytes emitted via batch frames, headers excluded."),
 		ChecksumFailures:    r.Counter("pbio_transport_checksum_failures_total", "Frames whose CRC32-C did not match the body."),
 		DeadlineTimeouts:    r.Counter("pbio_transport_deadline_timeouts_total", "Reads or writes that hit the configured deadline."),
-		Trace:               r.Trace(),
 	}
 }
 
@@ -97,7 +93,7 @@ func isTimeout(err error) bool {
 }
 
 // noteIOError classifies an I/O error into the timeout counter and the
-// trace ring.  It is nil-receiver-safe and called on error paths only,
+// flight journal.  It is nil-receiver-safe and called on error paths only,
 // never on the hot path.
 func (m *Metrics) noteIOError(err error, what string) {
 	if m == nil || err == nil {
@@ -105,7 +101,6 @@ func (m *Metrics) noteIOError(err error, what string) {
 	}
 	if isTimeout(err) {
 		m.DeadlineTimeouts.Inc()
-		m.Trace.Emit("transport", "deadline_timeout", what)
 		if m.Flight != nil {
 			m.Flight.DeadlineTimeout(what)
 		}
@@ -119,7 +114,6 @@ func (m *Metrics) noteChecksumFailure(what string) {
 		return
 	}
 	m.ChecksumFailures.Inc()
-	m.Trace.Emit("transport", "checksum_failure", what)
 	if m.Flight != nil {
 		m.Flight.ChecksumFailure(what)
 	}

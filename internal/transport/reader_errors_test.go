@@ -151,13 +151,13 @@ func TestReadMessageResolverFailure(t *testing.T) {
 }
 
 func TestReadFrameTypedErrors(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{'X', 'X', 0, 0, 0, 0, 0, 0, 0, 0, 0}), nil); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := NewFrameReader(bytes.NewReader([]byte{'X', 'X', 0, 0, 0, 0, 0, 0, 0, 0, 0})).Next(); !errors.Is(err, ErrCorruptFrame) {
 		t.Errorf("bad magic: got %v, want ErrCorruptFrame", err)
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(rawFrame(FrameData, 1, 100, nil)), nil); !errors.Is(err, ErrPeerGone) {
+	if _, err := NewFrameReader(bytes.NewReader(rawFrame(FrameData, 1, 100, nil))).Next(); !errors.Is(err, ErrPeerGone) {
 		t.Errorf("truncated payload: got %v, want ErrPeerGone", err)
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(rawFrame(FrameMeta, 1, maxMetaPayload+1, nil)), nil); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := NewFrameReader(bytes.NewReader(rawFrame(FrameMeta, 1, maxMetaPayload+1, nil))).Next(); !errors.Is(err, ErrCorruptFrame) {
 		t.Errorf("oversize meta: got %v, want ErrCorruptFrame", err)
 	}
 }

@@ -11,7 +11,6 @@ package transport
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/wire"
@@ -202,15 +201,4 @@ func DecodeSubscription(body []byte) (Subscription, error) {
 		return Subscription{}, fmt.Errorf("transport: %d trailing bytes after subscription: %w", len(rest), ErrCorruptFrame)
 	}
 	return s, nil
-}
-
-// WriteSubscription writes s as one FrameSub control frame.  The frame's
-// format-ID field is unused (zero); subscriptions address formats by
-// name, the only identity that survives renumbering across hops.
-func WriteSubscription(w io.Writer, s Subscription) error {
-	payload, err := EncodeSubscription(s)
-	if err != nil {
-		return err
-	}
-	return WriteFrame(w, Frame{Kind: FrameSub, Payload: payload})
 }

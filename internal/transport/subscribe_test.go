@@ -106,10 +106,10 @@ func TestSubscriptionMatches(t *testing.T) {
 
 func TestSubscriptionFrameOverWire(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSubscription(&buf, Subscription{Names: []string{"tick", "tock"}}); err != nil {
+	if err := NewFrameWriter(&buf).WriteSubscription(Subscription{Names: []string{"tick", "tock"}}); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := ReadFrame(&buf, nil)
+	f, err := NewFrameReader(&buf).Next()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,177 +9,12 @@ package transport
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
-	"net"
 	"sync"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/wire"
 )
-
-// Frame kinds on the wire.
-const (
-	// FrameMeta carries a meta-encoded format description.
-	FrameMeta = 1
-	// FrameData carries one record in the sender's native layout.
-	FrameData = 2
-	// FrameMetaRef carries an 8-byte global format ID (format-server
-	// mode).
-	FrameMetaRef = 3
-	// FrameBatch carries N ≥ 1 records of one format, concatenated in the
-	// sender's native layout with no per-record framing: the record count
-	// is payload length ÷ format size.  Fixed-size records make the
-	// division exact by construction, so batching costs zero descriptive
-	// bytes — the header amortizes over the whole run, which is where the
-	// per-message overhead goes for small records.
-	FrameBatch = 4
-	// FrameSub carries a subscription want-list (see Subscription)
-	// travelling upstream on a consumer link: a consumer or downstream
-	// relay telling its upstream hop which format names it wants.  The
-	// format-ID field is unused.
-	FrameSub = 5
-
-	// FrameFlagSum, OR-ed into the kind byte, marks a frame whose
-	// payload is prefixed by a 4-byte big-endian CRC32-C of the body.
-	// The checksum covers the body only — not the header — so a relay
-	// can renumber format IDs while forwarding without re-hashing, and
-	// the record bytes themselves keep end-to-end integrity across hops.
-	// Checksums are opt-in per writer (Writer.SetChecksums); readers
-	// accept both forms transparently.
-	FrameFlagSum = 0x80
-
-	msgMeta    = FrameMeta
-	msgData    = FrameData
-	msgMetaRef = FrameMetaRef
-	msgBatch   = FrameBatch
-)
-
-// Frame is one raw protocol frame.  Relays and other intermediaries can
-// forward frames without interpreting record contents — with NDR there is
-// nothing to re-encode.
-type Frame struct {
-	Kind     byte
-	FormatID uint32
-	Payload  []byte
-}
-
-// BaseKind returns the frame kind with the checksum flag stripped.
-func (f *Frame) BaseKind() byte { return f.Kind &^ FrameFlagSum }
-
-// Checksummed reports whether the payload carries a CRC32-C prefix.
-func (f *Frame) Checksummed() bool { return f.Kind&FrameFlagSum != 0 }
-
-// Body verifies the payload checksum (when present) and returns the
-// frame body with any checksum prefix stripped.  A mismatch wraps
-// ErrCorruptFrame; the stream itself is still frame-aligned, so callers
-// that can tolerate loss may skip the frame and continue reading.
-func (f *Frame) Body() ([]byte, error) {
-	if !f.Checksummed() {
-		return f.Payload, nil
-	}
-	if len(f.Payload) < 4 {
-		return nil, fmt.Errorf("transport: checksummed payload only %d bytes: %w", len(f.Payload), ErrCorruptFrame)
-	}
-	want := wire.BeUint32(f.Payload)
-	body := f.Payload[4:]
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, fmt.Errorf("transport: payload checksum %#x, want %#x: %w", got, want, ErrCorruptFrame)
-	}
-	return body, nil
-}
-
-// AppendSum appends body prefixed with its CRC32-C to dst and returns
-// the extended slice — the payload layout of a FrameFlagSum frame.
-// Passing a pooled or reused dst (sliced to zero length) makes the
-// checksummed payload construction allocation-free.
-func AppendSum(dst, body []byte) []byte {
-	var crc [4]byte
-	wire.PutBeUint32(crc[:], crc32.Checksum(body, crcTable))
-	dst = append(dst, crc[:]...)
-	return append(dst, body...)
-}
-
-// SumPayload returns body prefixed with its CRC32-C in a freshly
-// allocated slice.  Intermediaries that originate frames (a relay
-// re-encoding meta, say) use this for one-off payloads; per-frame hot
-// paths should use AppendSum with a reused buffer instead.
-func SumPayload(body []byte) []byte {
-	return AppendSum(make([]byte, 0, 4+len(body)), body)
-}
-
-// ReadFrame reads one frame, reusing buf for the payload when it is large
-// enough.  It returns the frame and the (possibly grown) buffer.  Growth
-// goes through the buffer pool, and the outgrown buffer is donated to it
-// — the caller yields ownership of buf and must use only the returned
-// slice.  io.EOF is returned untouched at a clean frame boundary.
-func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, buf, io.EOF
-		}
-		return Frame{}, buf, fmt.Errorf("transport: read header: %w: %w", err, ErrPeerGone)
-	}
-	if wire.BeUint16(hdr[:]) != frameMagic {
-		return Frame{}, buf, fmt.Errorf("transport: bad frame magic %#x%02x: %w", hdr[0], hdr[1], ErrCorruptFrame)
-	}
-	f := Frame{Kind: hdr[2]}
-	f.FormatID = wire.BeUint32(hdr[3:])
-	n := int(wire.BeUint32(hdr[7:]))
-	if n < 0 || n > maxPayload {
-		return Frame{}, buf, fmt.Errorf("transport: frame payload %d out of range: %w", n, ErrCorruptFrame)
-	}
-	if k := f.BaseKind(); (k == FrameMeta || k == FrameMetaRef || k == FrameSub) && n > maxMetaPayload {
-		return Frame{}, buf, fmt.Errorf("transport: meta payload %d exceeds bound %d: %w", n, maxMetaPayload, ErrCorruptFrame)
-	}
-	if cap(buf) < n {
-		bufpool.Put(buf)
-		buf = bufpool.Get(n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Frame{}, buf, fmt.Errorf("transport: read payload: %w: %w", err, ErrPeerGone)
-	}
-	f.Payload = buf
-	return f, buf, nil
-}
-
-// WriteFrame writes one frame.  Header and payload go out as a vectored
-// write (one writev syscall on a net.Conn), as PBIO did — the sender
-// never copies the record to build a contiguous message.
-func WriteFrame(w io.Writer, f Frame) error {
-	var hdr [frameHeaderSize]byte
-	putHeader(hdr[:], f.Kind, f.FormatID, len(f.Payload))
-	bufs := net.Buffers{hdr[:], f.Payload}
-	if _, err := bufs.WriteTo(w); err != nil {
-		return fmt.Errorf("transport: write frame: %w: %w", err, ErrPeerGone)
-	}
-	return nil
-}
-
-const (
-	frameMagic      = 0x5042 // "PB"
-	frameHeaderSize = 2 + 1 + 4 + 4
-
-	// maxPayload bounds frame payloads to guard against corrupt or
-	// hostile length fields.
-	maxPayload = 1 << 28
-
-	// maxMetaPayload bounds meta and meta-reference payloads much more
-	// tightly than data: a format description is small by construction,
-	// so a large length field on a meta frame is corruption, not data,
-	// and must not trigger a quarter-gigabyte allocation.
-	maxMetaPayload = 1 << 20
-)
-
-func putHeader(hdr []byte, kind byte, id uint32, n int) {
-	wire.PutBeUint16(hdr, frameMagic)
-	hdr[2] = kind
-	wire.PutBeUint32(hdr[3:], id)
-	wire.PutBeUint32(hdr[7:], uint32(n))
-}
 
 // MetaCache deduplicates decoded format descriptions across the streams
 // of one process.  Every reader that receives the same meta bytes gets
@@ -225,26 +60,18 @@ func (c *MetaCache) Decode(meta []byte) (*wire.Format, error) {
 
 // Writer sends records over a stream.  It is not safe for concurrent use.
 type Writer struct {
-	w    io.Writer
-	reg  *wire.Registry
-	sent map[uint32]bool         // format IDs whose meta has been transmitted
-	ids  map[*wire.Format]uint32 // fast path: formats already registered
-	// lastFmt/lastID memoise ensureFormat's last answer.  sent and ids
-	// only ever grow, so the memo never needs invalidating.
+	fw FrameWriter
+
+	// ids holds every format whose meta this stream has carried, by
+	// pointer; byPrint makes a second pointer of an already-sent layout
+	// share its ID.  lastFmt/lastID memoise ensureFormat's last answer;
+	// the maps only ever grow, so the memo never needs invalidating.
+	ids     map[*wire.Format]uint32
+	byPrint map[string]uint32 // fingerprint -> ID
 	lastFmt *wire.Format
 	lastID  uint32
 
-	hdr  [frameHeaderSize]byte
-	sum  [4]byte // reused checksum prefix (must outlive the vectored write)
-	meta []byte  // reused meta encoding buffer
-
-	// vec is the persistent backing for vectored writes; nb is the
-	// net.Buffers header WriteTo consumes.  WriteTo takes its receiver by
-	// pointer, so a local net.Buffers would escape (one allocation per
-	// frame); nb lives in the Writer, is re-pointed at vec's backing each
-	// frame, and advances harmlessly as the write drains (see writeVec).
-	vec [][]byte
-	nb  net.Buffers
+	meta []byte // reused meta encoding buffer
 
 	// Batching state (SetBatching).  Records are coalesced into batch
 	// until a flush condition fires; batchN counts them and batchStart
@@ -255,7 +82,6 @@ type Writer struct {
 	batch      []byte
 	batchN     int
 	batchID    uint32
-	batchFmt   *wire.Format
 	batchStart time.Time
 	onFlush    func(records, payloadBytes int, start, end time.Time)
 
@@ -333,46 +159,43 @@ func (t *Writer) SetFlushHook(fn func(records, payloadBytes int, start, end time
 // armWrite applies the write deadline, if any.
 func (t *Writer) armWrite() {
 	if t.timeout > 0 {
-		if dl, ok := t.w.(writeDeadliner); ok {
+		if dl, ok := t.fw.w.(writeDeadliner); ok {
 			dl.SetWriteDeadline(time.Now().Add(t.timeout))
 		}
 	}
 }
 
-// checksum fills t.sum with the CRC32-C of body.
-func (t *Writer) checksum(body []byte) {
-	wire.PutBeUint32(t.sum[:], crc32.Checksum(body, crcTable))
-}
-
 // NewWriter returns a Writer over w.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{
-		w:    w,
-		reg:  wire.NewRegistry(),
-		sent: make(map[uint32]bool),
-		ids:  make(map[*wire.Format]uint32),
+		fw:      FrameWriter{w: w},
+		ids:     make(map[*wire.Format]uint32),
+		byPrint: make(map[string]uint32),
 	}
 }
 
-// ensureFormat registers f (first use) and transmits its meta-information
-// (first record), returning the stream-local format ID.
+// ensureFormat returns f's stream-local format ID, validating f and
+// transmitting its meta-information on first sight.  IDs count from 1 in
+// first-sent order (0 is "no format"); a format whose layout this stream
+// already carries shares that layout's ID and sends nothing.
 func (t *Writer) ensureFormat(f *wire.Format) (uint32, error) {
 	if f == t.lastFmt {
 		return t.lastID, nil
 	}
 	id, known := t.ids[f]
 	if !known {
-		var err error
-		if id, _, err = t.reg.Register(f); err != nil {
+		if err := f.Validate(); err != nil {
 			return 0, err
+		}
+		fp := f.Fingerprint()
+		if id, known = t.byPrint[fp]; !known {
+			id = uint32(len(t.byPrint)) + 1
+			if err := t.sendMeta(f, id); err != nil {
+				return 0, err
+			}
+			t.byPrint[fp] = id
 		}
 		t.ids[f] = id
-	}
-	if !t.sent[id] {
-		if err := t.sendMeta(f, id); err != nil {
-			return 0, err
-		}
-		t.sent[id] = true
 	}
 	t.lastFmt, t.lastID = f, id
 	return id, nil
@@ -393,13 +216,13 @@ func (t *Writer) sendMeta(f *wire.Format, id uint32) error {
 		}
 		var ref [8]byte
 		wire.PutBeUint64(ref[:], gid)
-		return t.emit(msgMetaRef, id, ref[:], "meta ref")
+		return t.emit(FrameMetaRef, id, "meta ref", ref[:])
 	}
 	t.meta = wire.AppendMeta(t.meta[:0], f)
 	if len(t.meta) > maxMetaPayload {
 		return fmt.Errorf("transport: format %q meta is %d bytes, exceeds bound %d", f.Name, len(t.meta), maxMetaPayload)
 	}
-	return t.emit(msgMeta, id, t.meta, "meta")
+	return t.emit(FrameMeta, id, "meta", t.meta)
 }
 
 // WriteRecord transmits one record: data must be the record's native
@@ -421,9 +244,9 @@ func (t *Writer) WriteRecord(f *wire.Format, data []byte) error {
 		return err
 	}
 	if t.batchMax > 0 {
-		return t.coalesce(f, id, data)
+		return t.coalesce(id, data)
 	}
-	return t.emit(msgData, id, data, "data")
+	return t.emit(FrameData, id, "data", data)
 }
 
 // coalesce appends the record to the pending batch, flushing first on a
@@ -431,14 +254,14 @@ func (t *Writer) WriteRecord(f *wire.Format, data []byte) error {
 // age.
 //
 //pbio:hotpath noalloc=0 per-record batching step; t.batch reaches steady capacity and the append stops growing (pbio/alloc_test.go TestAllocsBatchedWrite)
-func (t *Writer) coalesce(f *wire.Format, id uint32, data []byte) error {
+func (t *Writer) coalesce(id uint32, data []byte) error {
 	if t.batchN > 0 && (id != t.batchID || len(t.batch)+len(data) > t.batchMax) {
 		if err := t.flushPending(); err != nil {
 			return err
 		}
 	}
 	if t.batchN == 0 {
-		t.batchFmt, t.batchID = f, id
+		t.batchID = id
 		if t.batchDelay > 0 || t.onFlush != nil {
 			t.batchStart = time.Now()
 		}
@@ -479,7 +302,7 @@ func (t *Writer) WriteMeta(f *wire.Format) error {
 // flushPending writes the coalescing buffer out as one frame: FrameBatch
 // for a run of two or more records, a plain data frame for one.
 //
-//pbio:hotpath noalloc=0 batch flush; reuses t.batch, t.vec and t.hdr across frames
+//pbio:hotpath noalloc=0 batch flush; reuses t.batch across frames
 func (t *Writer) flushPending() error {
 	n := t.batchN
 	if n == 0 {
@@ -487,14 +310,13 @@ func (t *Writer) flushPending() error {
 	}
 	bytes := len(t.batch)
 	start := t.batchStart
-	kind, what := byte(msgData), "data"
+	kind, what := byte(FrameData), "data"
 	if n > 1 {
-		kind, what = byte(msgBatch), "batch"
+		kind, what = byte(FrameBatch), "batch"
 	}
-	err := t.emit(kind, t.batchID, t.batch, what)
+	err := t.emit(kind, t.batchID, what, t.batch)
 	t.batch = t.batch[:0]
 	t.batchN = 0
-	t.batchFmt = nil
 	if err != nil {
 		return err
 	}
@@ -516,7 +338,7 @@ func (t *Writer) flushPending() error {
 // timestep) skip the coalescing copy entirely.  Any coalesced records
 // pending from WriteRecord are flushed first, preserving order.
 //
-//pbio:hotpath noalloc=0 vectored batch send; the iovec t.vec is reused, records go out in place
+//pbio:hotpath noalloc=0 vectored batch send; records go out in place
 func (t *Writer) WriteBatch(f *wire.Format, recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -540,23 +362,9 @@ func (t *Writer) WriteBatch(f *wire.Format, recs [][]byte) error {
 		return err
 	}
 	if len(recs) == 1 {
-		return t.emit(msgData, id, recs[0], "data")
+		return t.emit(FrameData, id, "data", recs[0])
 	}
-	t.vec = t.vec[:0]
-	if t.sums {
-		crc := uint32(0)
-		for _, rec := range recs {
-			crc = crc32.Update(crc, crcTable, rec)
-		}
-		wire.PutBeUint32(t.sum[:], crc)
-		putHeader(t.hdr[:], msgBatch|FrameFlagSum, id, total+4)
-		t.vec = append(t.vec, t.hdr[:], t.sum[:])
-	} else {
-		putHeader(t.hdr[:], msgBatch, id, total)
-		t.vec = append(t.vec, t.hdr[:])
-	}
-	t.vec = append(t.vec, recs...)
-	if err := t.writeVec(msgBatch, "batch"); err != nil {
+	if err := t.emit(FrameBatch, id, "batch", recs...); err != nil {
 		return err
 	}
 	if m := t.m; m != nil {
@@ -567,42 +375,20 @@ func (t *Writer) WriteBatch(f *wire.Format, recs [][]byte) error {
 	return nil
 }
 
-// emit stages one frame — header, optional checksum prefix, body — and
-// writes it vectored.
+// emit sends one frame — body is its payload, in one piece or many,
+// checksummed when the writer is — and accounts for it.
 //
 //pbio:hotpath noalloc=0 every outgoing frame passes through here
-func (t *Writer) emit(kind byte, id uint32, body []byte, what string) error {
-	t.vec = t.vec[:0]
-	if t.sums {
-		t.checksum(body)
-		putHeader(t.hdr[:], kind|FrameFlagSum, id, len(body)+4)
-		t.vec = append(t.vec, t.hdr[:], t.sum[:], body)
-	} else {
-		putHeader(t.hdr[:], kind, id, len(body))
-		t.vec = append(t.vec, t.hdr[:], body)
-	}
-	return t.writeVec(kind, what)
-}
-
-// writeVec flushes the staged t.vec as one vectored write (one writev
-// syscall on a net.Conn); the sender never copies records to build a
-// contiguous message.  net.Buffers.WriteTo consumes the slice it is
-// called on — it advances t.nb (and shrinks the consumed element
-// headers inside vec's backing array), but emit rebuilds both from
-// scratch each frame, so nothing allocates in steady state.
-//
-//pbio:hotpath noalloc=0 the one syscall per frame; t.nb reuses t.vec's backing array
-func (t *Writer) writeVec(kind byte, what string) error {
-	t.nb = net.Buffers(t.vec)
-	n, err := t.nb.WriteTo(t.w)
+func (t *Writer) emit(kind byte, id uint32, what string, body ...[]byte) error {
+	n, err := t.fw.Write(kind, id, t.sums, body...)
 	if err != nil {
 		t.m.noteIOError(err, "write "+what)
-		return fmt.Errorf("transport: write %s: %w: %w", what, err, ErrPeerGone)
+		return err
 	}
 	if m := t.m; m != nil {
 		m.FramesWritten.Inc()
 		m.BytesWritten.Add(n)
-		if kind == msgMeta || kind == msgMetaRef {
+		if kind == FrameMeta || kind == FrameMetaRef {
 			m.MetaWritten.Inc()
 		}
 	}
@@ -658,9 +444,8 @@ type Message struct {
 // Reader receives records from a stream.  It is not safe for concurrent
 // use.
 type Reader struct {
-	r       io.Reader
+	fr      FrameReader       // the stream, its header and pooled receive buffer
 	formats FormatTable[Slot] // the peer's format IDs; zero value is ready
-	hdr     [frameHeaderSize]byte
 
 	// stampArrivals, when set (SetArrivalStamps), timestamps each
 	// delivered Message with its arrival wall-clock time.  Off by
@@ -671,13 +456,8 @@ type Reader struct {
 	// reads fail rather than touch recycled memory.
 	closed bool
 
-	// buf is the pooled receive buffer.  Obtained from bufpool on demand
-	// and returned by Close; a reader that is never Closed simply leaks
-	// its buffer to the GC.
-	buf []byte
-
 	// Batch-frame iteration state: the current batch frame's whole
-	// payload (aliases buf), the offset of the first un-delivered
+	// payload (aliases fr's buffer), the offset of the first un-delivered
 	// record, and the slot and arrival the frame was read under.  The
 	// un-delivered tail is batch[batchOff:]; keeping the full payload
 	// lets TakeBatch hand a batch consumer every remaining record in
@@ -712,7 +492,7 @@ type Reader struct {
 
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
+	return &Reader{fr: FrameReader{r: r}}
 }
 
 // Reset re-points the reader at a new stream, forgetting learned formats
@@ -721,7 +501,7 @@ func NewReader(r io.Reader) *Reader {
 // carry over.  It exists so a Reader embedded by value can be re-armed
 // without allocating.
 func (t *Reader) Reset(r io.Reader) {
-	t.r = r
+	t.fr.r = r
 	t.formats = FormatTable[Slot]{}
 	t.batch, t.batchOff, t.pendingFmt, t.pendingOrd = nil, 0, nil, 0
 	t.pendingArrival = time.Time{}
@@ -740,10 +520,7 @@ func (t *Reader) Close() error {
 	}
 	t.closed = true
 	t.batch, t.batchOff, t.pendingFmt = nil, 0, nil
-	if t.buf != nil {
-		bufpool.Put(t.buf)
-		t.buf = nil
-	}
+	t.fr.Release()
 	return nil
 }
 
@@ -776,7 +553,7 @@ func (t *Reader) SetArrivalStamps(on bool) { t.stampArrivals = on }
 // armRead applies the read deadline, if any.
 func (t *Reader) armRead() {
 	if t.timeout > 0 {
-		if dl, ok := t.r.(readDeadliner); ok {
+		if dl, ok := t.fr.r.(readDeadliner); ok {
 			dl.SetReadDeadline(time.Now().Add(t.timeout))
 		}
 	}
@@ -853,48 +630,25 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 	wireBytes := 0
 	for {
 		t.armRead()
-		if _, err := io.ReadFull(t.r, t.hdr[:]); err != nil {
-			if err == io.EOF {
-				return io.EOF
+		f, err := t.fr.Next()
+		if err != nil {
+			if err != io.EOF {
+				t.m.noteIOError(err, "read frame")
 			}
-			t.m.noteIOError(err, "read header")
-			return fmt.Errorf("transport: read header: %w: %w", err, ErrPeerGone)
+			return err
 		}
-		if wire.BeUint16(t.hdr[:]) != frameMagic {
-			return fmt.Errorf("transport: bad frame magic %#x%02x: %w", t.hdr[0], t.hdr[1], ErrCorruptFrame)
-		}
-		rawKind := t.hdr[2]
-		kind := rawKind &^ FrameFlagSum
-		id := wire.BeUint32(t.hdr[3:])
-		n := int(wire.BeUint32(t.hdr[7:]))
-		if n < 0 || n > maxPayload {
-			return fmt.Errorf("transport: frame payload %d out of range: %w", n, ErrCorruptFrame)
-		}
-		if (kind == msgMeta || kind == msgMetaRef || kind == FrameSub) && n > maxMetaPayload {
-			return fmt.Errorf("transport: meta payload %d exceeds bound %d: %w", n, maxMetaPayload, ErrCorruptFrame)
-		}
-		if cap(t.buf) < n {
-			bufpool.Put(t.buf)
-			t.buf = bufpool.Get(n)
-		}
-		t.buf = t.buf[:n]
-		if _, err := io.ReadFull(t.r, t.buf); err != nil {
-			t.m.noteIOError(err, "read payload")
-			return fmt.Errorf("transport: read payload: %w: %w", err, ErrPeerGone)
-		}
+		kind, id, n := f.BaseKind(), f.FormatID, len(f.Payload)
 		wireBytes += frameHeaderSize + n
 		if m := t.m; m != nil {
 			m.FramesRead.Inc()
 			m.BytesRead.Add(int64(frameHeaderSize + n))
-			if kind != msgData && kind != msgBatch {
+			if kind != FrameData && kind != FrameBatch {
 				m.MetaRead.Inc()
 			}
 		}
 		// Verify and strip the checksum prefix, if the frame carries one.
-		body := t.buf
-		if rawKind&FrameFlagSum != 0 {
-			f := Frame{Kind: rawKind, Payload: t.buf}
-			var err error
+		body := f.Payload
+		if f.Checksummed() {
 			if body, err = f.Body(); err != nil {
 				if m := t.m; m != nil {
 					m.noteChecksumFailure(fmt.Sprintf("format %d kind %d", id, kind))
@@ -904,7 +658,7 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 			n = len(body)
 		}
 		switch kind {
-		case msgMeta:
+		case FrameMeta:
 			var f *wire.Format
 			var err error
 			if t.metaCache != nil {
@@ -919,10 +673,10 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 			if err := t.bind(id, f); err != nil {
 				return err
 			}
-			if m := t.m; m != nil {
-				m.Trace.Emit("transport", "format_learned", f.Name)
+			if m := t.m; m != nil && m.Flight != nil {
+				m.Flight.FormatLearned(f.Name)
 			}
-		case msgMetaRef:
+		case FrameMetaRef:
 			if t.resolver == nil {
 				return fmt.Errorf("transport: stream uses a format server but no resolver is configured: %w", ErrProtocol)
 			}
@@ -940,7 +694,7 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 			if err := t.bind(id, f); err != nil {
 				return err
 			}
-		case msgData:
+		case FrameData:
 			s := t.formats.Lookup(id)
 			if s == nil {
 				return fmt.Errorf("transport: data for unknown format ID %d (data before meta): %w", id, ErrProtocol)
@@ -953,7 +707,7 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 				m.Arrival = time.Now()
 			}
 			return nil
-		case msgBatch:
+		case FrameBatch:
 			s := t.formats.Lookup(id)
 			if s == nil {
 				return fmt.Errorf("transport: batch for unknown format ID %d (data before meta): %w", id, ErrProtocol)

@@ -204,10 +204,10 @@ func TestReaderRejectsSizeMismatchedData(t *testing.T) {
 	meta := wire.EncodeMeta(f)
 	var buf bytes.Buffer
 	hdr := make([]byte, frameHeaderSize)
-	putHeader(hdr, msgMeta, 1, len(meta))
+	putHeader(hdr, FrameMeta, 1, len(meta))
 	buf.Write(hdr)
 	buf.Write(meta)
-	putHeader(hdr, msgData, 1, 4)
+	putHeader(hdr, FrameData, 1, 4)
 	buf.Write(hdr)
 	buf.Write([]byte{1, 2, 3, 4})
 	if _, err := NewReader(&buf).ReadMessage(); err == nil {

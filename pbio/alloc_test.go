@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"unsafe"
 
 	"repro/internal/flightrec"
 )
@@ -19,6 +20,16 @@ import (
 // allocFields is the benchmark record shape: ~10 KB of doubles.
 var allocFields = []FieldSpec{
 	F("node", Int), F("timestamp", Double), Array("values", Double, 1245),
+}
+
+// TestReaderSizeClass: a Reader is allocated per stream, so its size is
+// setup_s and peak_rss_mb on every workload.  448 bytes is the allocator
+// size class it has lived in since PR 13; a field added to it or to the
+// transport.Reader and FrameReader it embeds must not cross that.
+func TestReaderSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Reader{}); got > 448 {
+		t.Errorf("pbio.Reader is %d bytes, above the 448-byte size class", got)
+	}
 }
 
 func TestAllocsSteadyStateWrite(t *testing.T) {
