@@ -37,6 +37,26 @@ func TestSelfRunClean(t *testing.T) {
 	}
 }
 
+// TestDataPathImportsNoObservability pins the layering DESIGN §15
+// describes: the packages that lay out, plan and convert records are
+// observed from above (pbio listens on dcg.Cache.OnBuild and times its
+// own calls) and import neither the metric registry nor the flight
+// recorder, so a sink cannot grow back inside them.
+func TestDataPathImportsNoObservability(t *testing.T) {
+	list := exec.Command("go", "list", "-deps",
+		"./internal/abi", "./internal/wire", "./internal/native", "./internal/convert", "./internal/dcg")
+	list.Dir = moduleRoot(t)
+	out, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if strings.HasPrefix(dep, "repro/internal/telemetry") || dep == "repro/internal/flightrec" {
+			t.Errorf("the data path depends on %s", dep)
+		}
+	}
+}
+
 // TestCrossPackageFactFlow proves facts survive the unitchecker
 // protocol: package a's Wait earns a Blocks fact when a is analyzed, the
 // fact is serialized into a's vetx file, and analyzing package b — which

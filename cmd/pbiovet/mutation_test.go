@@ -83,6 +83,10 @@ var mutations = []mutation{
 		"\treturn &r.state[m.msg.Ord]\n",
 		"\tat := func() *formatState { return &r.state[m.msg.Ord] }\n\treturn at()\n",
 		"closure capturing variables (allocates per call) in //pbio:hotpath noalloc=0 function state"},
+	{"alloc/closure-in-Message.convert", "alloccheck", "pbio/stream.go",
+		"\tcase n == 1:\n\t\terr = prog.Convert(dst, src)\n",
+		"\tcase n == 1:\n\t\tfunc() {\n\t\t\tstart := time.Now()\n\t\t\terr = prog.Convert(dst, src)\n\t\t\tt1 = start\n\t\t}()\n",
+		"closure capturing variables (allocates per call) in //pbio:hotpath noalloc=0 function convert"},
 
 	// atomiccheck: a plain read of a field published with sync/atomic.
 	{"atomic/plain-read-of-Format.fp", "atomiccheck", "internal/wire/format.go",

@@ -3,7 +3,6 @@ package convert
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Interp is the table-driven interpreted converter: it walks the plan's op
@@ -14,7 +13,6 @@ import (
 // exactly the overhead the paper's dynamic code generation removes.
 type Interp struct {
 	plan *Plan
-	m    *Metrics // nil: no accounting, no timing
 }
 
 // NewInterp returns an interpreted executor for the plan.
@@ -28,19 +26,6 @@ func (it *Interp) Plan() *Plan { return it.plan }
 // Wire.Size bytes.  dst and src may alias the same buffer only when
 // plan.InPlace is true.
 func (it *Interp) Convert(dst, src []byte) error {
-	if it.m != nil {
-		start := time.Now()
-		err := it.convert(dst, src)
-		if err == nil {
-			it.m.InterpConverts.Inc()
-			it.m.InterpNanos.Observe(time.Since(start).Nanoseconds())
-		}
-		return err
-	}
-	return it.convert(dst, src)
-}
-
-func (it *Interp) convert(dst, src []byte) error {
 	p := it.plan
 	if len(src) < p.Wire.Size {
 		return fmt.Errorf("convert: source %d bytes, wire format needs %d", len(src), p.Wire.Size)

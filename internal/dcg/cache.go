@@ -8,111 +8,114 @@ import (
 	"repro/internal/wire"
 )
 
-// Cache memoizes compiled conversion programs per (wire format, native
-// format) layout pair.  PBIO generates a conversion routine once, "as soon
-// as the wire format is known", and reuses it for every subsequent record
-// of that format; the cache provides the same amortization.
+// Cache is the table of what is known about each (wire format, expected
+// format) layout pair: the conversion plan, built on the pair's first
+// sight, and the program compiled from that same plan on the first Get.
+// PBIO generates a conversion routine once, "as soon as the wire format
+// is known", and reuses it for every subsequent record of that format;
+// the cache provides the same amortization, and Plan gives the
+// interpreted baseline the plan without paying for code generation.
 //
 // A Cache is safe for concurrent use.
 type Cache struct {
 	mu    sync.RWMutex
-	progs map[cacheKey]*Program
+	pairs map[cacheKey]*pair
 
-	// met and conv, when non-nil, account cache traffic, codegen latency
-	// and plan builds.  Set once before use (SetMetrics).
-	met  *Metrics
-	conv *convert.Metrics
-
-	// flight, when non-nil, journals each compilation as a discrete
-	// event (compiles are rare and expensive — exactly what a flight
-	// journal is for).  Set once before use (SetFlight).
-	flight FlightSink
+	// OnBuild, when non-nil, is called once for every plan built and
+	// once for every program compiled, by the goroutine that did the
+	// work, after the result is filed.  Failed builds are not reported.
+	// Set it before the cache is shared between goroutines.
+	OnBuild func(Build)
 }
 
-// FlightSink receives compile events for the flight journal.  The
-// dependency is this small interface so dcg stays a leaf compiler
-// package; *flightrec.Recorder satisfies it.
-type FlightSink interface {
-	// DCGCompile journals one compilation: the fused shape (run-op
-	// count, word-wide swap ops per record, per-record step fallbacks)
-	// plus the compile latency.
-	DCGCompile(format string, runs, fusedWords, stepFallbacks, nanos int64)
+// Build describes one first-sight piece of work: a plan built (Program
+// is nil) or a program compiled from Plan, and how long it took.
+type Build struct {
+	Plan    *convert.Plan
+	Program *Program
+	Nanos   int64
 }
-
-// SetMetrics attaches telemetry for cache hits/misses and compile
-// latency (met) and for the plan builds compilation triggers (conv).
-// Call before the cache is shared between goroutines.
-func (c *Cache) SetMetrics(met *Metrics, conv *convert.Metrics) {
-	c.met = met
-	c.conv = conv
-}
-
-// SetFlight attaches a flight sink for compile events.  Call before the
-// cache is shared between goroutines.
-func (c *Cache) SetFlight(s FlightSink) { c.flight = s }
 
 type cacheKey struct {
 	wire, native string
 }
 
-// NewCache returns an empty program cache.
+// pair is one table entry.  Each half is built at most once; an error is
+// kept and returned to every later caller, and nothing is filed beside it.
+type pair struct {
+	planOnce, progOnce sync.Once
+	plan               *convert.Plan
+	prog               *Program
+	planErr, progErr   error
+}
+
+// NewCache returns an empty table.
 func NewCache() *Cache {
-	return &Cache{progs: make(map[cacheKey]*Program)}
+	return &Cache{pairs: make(map[cacheKey]*pair)}
+}
+
+// Plan returns the conversion plan from wireFmt records to expected
+// records, building it on first use.  It compiles nothing.
+func (c *Cache) Plan(wireFmt, expected *wire.Format) (*convert.Plan, error) {
+	p := c.planned(wireFmt, expected)
+	return p.plan, p.planErr
 }
 
 // Get returns a compiled program converting wireFmt records into expected
-// records, compiling it on first use.
+// records, compiling it — from the plan Plan returns — on first use.
 func (c *Cache) Get(wireFmt, expected *wire.Format) (*Program, error) {
-	key := cacheKey{wireFmt.Fingerprint(), expected.Fingerprint()}
-	c.mu.RLock()
-	prog := c.progs[key]
-	c.mu.RUnlock()
-	if prog != nil {
-		if c.met != nil {
-			c.met.CacheHits.Inc()
+	p := c.planned(wireFmt, expected)
+	if p.planErr != nil {
+		return nil, p.planErr
+	}
+	c.first(&p.progOnce, func() Build {
+		if p.prog, p.progErr = Compile(p.plan); p.progErr != nil {
+			return Build{}
 		}
-		return prog, nil
-	}
-	if c.met != nil {
-		c.met.CacheMisses.Inc()
-	}
-	plan, err := convert.NewPlanTimed(wireFmt, expected, c.conv)
-	if err != nil {
-		return nil, err
-	}
-	var start time.Time
-	if c.met != nil || c.flight != nil {
-		start = time.Now()
-	}
-	prog, err = Compile(plan)
-	if err != nil {
-		return nil, err
-	}
-	if !start.IsZero() {
-		nanos := time.Since(start).Nanoseconds()
-		if c.met != nil {
-			c.met.CompileNanos.Observe(nanos)
-		}
-		if c.flight != nil {
-			runs, words, steps := prog.Stats()
-			c.flight.DCGCompile(wireFmt.Name, int64(runs), int64(words), int64(steps), nanos)
-		}
-	}
-	c.mu.Lock()
-	// Another goroutine may have won the race; keep the first program so
-	// callers share one instance.
-	if existing, ok := c.progs[key]; ok {
-		prog = existing
-	} else {
-		c.progs[key] = prog
-	}
-	c.mu.Unlock()
-	return prog, nil
+		return Build{Plan: p.plan, Program: p.prog}
+	})
+	return p.prog, p.progErr
 }
 
-// Len returns the number of cached programs.
+// planned returns the pair's entry with its plan half built.
+func (c *Cache) planned(wireFmt, expected *wire.Format) *pair {
+	key := cacheKey{wireFmt.Fingerprint(), expected.Fingerprint()}
+	c.mu.RLock()
+	p := c.pairs[key]
+	c.mu.RUnlock()
+	if p == nil {
+		c.mu.Lock()
+		if p = c.pairs[key]; p == nil {
+			p = new(pair)
+			c.pairs[key] = p
+		}
+		c.mu.Unlock()
+	}
+	c.first(&p.planOnce, func() Build {
+		p.plan, p.planErr = convert.NewPlan(wireFmt, expected)
+		return Build{Plan: p.plan}
+	})
+	return p
+}
+
+// first runs build under once and hands what it produced (a zero Build
+// when it failed) to OnBuild — outside the once, so a listener may itself
+// consult the cache.
+func (c *Cache) first(once *sync.Once, build func() Build) {
+	var b Build
+	once.Do(func() {
+		start := time.Now()
+		b = build()
+		b.Nanos = time.Since(start).Nanoseconds()
+	})
+	if b.Plan != nil && c.OnBuild != nil {
+		c.OnBuild(b)
+	}
+}
+
+// Len returns the number of layout pairs in the table.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.progs)
+	return len(c.pairs)
 }

@@ -3,6 +3,7 @@ package dcg
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/abi"
@@ -394,13 +395,105 @@ func TestCache(t *testing.T) {
 	}
 }
 
+// Plan and Get answer from one entry: the program is compiled from the
+// plan Plan returned, and Plan alone never compiles.
+func TestCachePlanThenGetShareOnePlan(t *testing.T) {
+	c := NewCache()
+	var plans, progs int
+	c.OnBuild = func(b Build) {
+		if b.Plan == nil || b.Nanos < 0 {
+			t.Errorf("build reported without its plan or with a negative duration: %+v", b)
+		}
+		if b.Program == nil {
+			plans++
+		} else {
+			progs++
+		}
+	}
+	wf := wire.MustLayout(mixedSchema(), &abi.SparcV8)
+	nf := wire.MustLayout(mixedSchema(), &abi.X86)
+	plan, err := c.Plan(wf, nf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := c.Plan(wf, nf); again != plan {
+		t.Error("Plan built the pair's plan twice")
+	}
+	if plans != 1 || progs != 0 {
+		t.Fatalf("after Plan alone: %d plans and %d programs reported, want 1 and 0", plans, progs)
+	}
+	prog, err := c.Get(wf, nf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Plan() != plan {
+		t.Error("Get compiled from a plan of its own, not the one Plan returned")
+	}
+	if _, err := c.Get(wf, nf); err != nil {
+		t.Fatal(err)
+	}
+	if plans != 1 || progs != 1 || c.Len() != 1 {
+		t.Errorf("after Plan and Get: %d plans, %d programs, %d entries; want 1 of each", plans, progs, c.Len())
+	}
+}
+
+// A pair that cannot be planned, or whose plan cannot be compiled, gives
+// every caller the same error and files nothing beside it.
+func TestCacheKeepsErrors(t *testing.T) {
+	c := NewCache()
+	c.OnBuild = func(b Build) {
+		if b.Program != nil {
+			t.Errorf("a program was reported: %+v", b)
+		}
+	}
+	wf := wire.MustLayout(mixedSchema(), &abi.SparcV8)
+	scalar := wire.MustLayout(&wire.Schema{Name: "s", Fields: []wire.FieldSpec{{Name: "pt", Type: abi.Int, Count: 1}}}, &abi.X86)
+	nested := wire.MustLayout(&wire.Schema{Name: "s", Fields: []wire.FieldSpec{{Name: "pt", Count: 1,
+		Sub: &wire.Schema{Name: "s.pt", Fields: []wire.FieldSpec{{Name: "x", Type: abi.Int, Count: 1}}}}}}, &abi.X86)
+	_, planErr := c.Plan(scalar, nested)
+	if planErr == nil {
+		t.Fatal("a structure on one side only was planned")
+	}
+	for i := 0; i < 2; i++ {
+		if prog, err := c.Get(scalar, nested); prog != nil || err != planErr {
+			t.Errorf("Get on an unplannable pair = %v, %v; want the plan error %v", prog, err, planErr)
+		}
+	}
+	// No valid plan fails to compile, so break one behind the table's back.
+	plan, err := c.Plan(wf, scalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Ops = append(plan.Ops, convert.Op{Kind: convert.OpKind(99)})
+	_, compileErr := c.Get(wf, scalar)
+	if compileErr == nil {
+		t.Fatal("an unknown op kind compiled")
+	}
+	if prog, err := c.Get(wf, scalar); prog != nil || err != compileErr {
+		t.Errorf("second Get = %v, %v; want the first compile error %v", prog, err, compileErr)
+	}
+	if again, err := c.Plan(wf, scalar); again != plan || err != nil {
+		t.Errorf("Plan after a failed compile = %p, %v; want the filed plan %p", again, err, plan)
+	}
+}
+
+// Sixteen goroutines racing a pair's first Get share one program, and the
+// table reports one plan built and one program compiled.
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache()
+	var plans, progs atomic.Int32
+	c.OnBuild = func(b Build) {
+		if b.Program == nil {
+			plans.Add(1)
+		} else {
+			progs.Add(1)
+		}
+	}
 	wf := wire.MustLayout(mixedSchema(), &abi.SparcV8)
 	nf := wire.MustLayout(mixedSchema(), &abi.X86)
 	var wg sync.WaitGroup
-	progs := make([]*Program, 16)
-	for i := range progs {
+	got := make([]*Program, 16)
+	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -409,14 +502,17 @@ func TestCacheConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			progs[i] = p
+			got[i] = p
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < len(progs); i++ {
-		if progs[i] != progs[0] {
+	for i := 1; i < len(got); i++ {
+		if got[i] != got[0] {
 			t.Fatal("concurrent Get returned distinct programs")
 		}
+	}
+	if plans.Load() != 1 || progs.Load() != 1 {
+		t.Errorf("OnBuild saw %d plans and %d programs, want 1 and 1", plans.Load(), progs.Load())
 	}
 }
 

@@ -211,16 +211,10 @@ func (r *Recorder) snapshot() (recs []byte, first uint64) {
 
 // --- sink adapters ---------------------------------------------------
 //
-// The layers below flightrec in the import graph (transport, dcg)
-// cannot import it; they define one-method-deep sink interfaces
-// instead, which these adapters satisfy.  Everything is nil-safe, so a
-// nil *Recorder is a valid sink.
-
-// ConnOpen records a wire connection coming up.
-func (r *Recorder) ConnOpen(subject string) { r.Emit(KindConnOpen, subject, 0, 0, 0) }
-
-// ConnClose records a wire connection going away.
-func (r *Recorder) ConnClose(subject string) { r.Emit(KindConnClose, subject, 0, 0, 0) }
+// transport sits below flightrec in the import graph and cannot import
+// it; it defines a sink interface (transport.FlightSink) instead, which
+// these adapters satisfy.  Everything is nil-safe, so a nil *Recorder is
+// a valid sink.
 
 // ChecksumFailure records a frame discarded for a CRC mismatch.
 func (r *Recorder) ChecksumFailure(subject string) { r.Emit(KindChecksumFailure, subject, 0, 0, 0) }
@@ -231,23 +225,17 @@ func (r *Recorder) DeadlineTimeout(subject string) { r.Emit(KindDeadlineTimeout,
 // FormatLearned records a reader binding a format new to its stream.
 func (r *Recorder) FormatLearned(subject string) { r.Emit(KindFormatLearned, subject, 0, 0, 0) }
 
-// DCGCompile records a conversion-program compilation: the latency in
-// arg1 and the fused shape — run-op count, word-wide swap ops per
-// record, per-record step fallbacks — packed into arg2 with BatchShape.
-// Compiles are rare, so the shape rides in the journal itself and
-// pbio-dump can show what the fusion pass produced without the program
-// in hand.
-func (r *Recorder) DCGCompile(format string, runs, fusedWords, stepFallbacks, nanos int64) {
-	r.Emit(KindDCGCompile, format, 0, nanos, BatchShape(runs, fusedWords, stepFallbacks))
-}
-
 // batchShapeBits is the field width of each count in a packed batch
 // shape word; counts are clamped, never truncated mod 2^20, so a
 // saturated field reads as "at least".
 const batchShapeBits = 20
 
-// BatchShape packs a compiled program's fused shape into one journal arg
-// word: three 20-bit fields, run-op count highest.
+// BatchShape packs a compiled program's fused shape — run-op count,
+// word-wide swap ops per record, per-record step fallbacks — into the
+// arg2 word of a KindDCGCompile event (arg1 is the compile latency):
+// three 20-bit fields, run-op count highest.  Compiles are rare, so the
+// shape rides in the journal itself and pbio-dump can show what the
+// fusion pass produced without the program in hand.
 func BatchShape(runs, fusedWords, stepFallbacks int64) int64 {
 	clamp := func(v int64) int64 {
 		if v < 0 {

@@ -2,9 +2,7 @@ package pbio
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/convert"
 	"repro/internal/native"
 )
 
@@ -89,67 +87,17 @@ func (m *Message) DecodeBatch(expected *Format, out *RecordBatch) (int, error) {
 	if out.fmt != expected {
 		return 0, fmt.Errorf("pbio: batch is of format %q, not %q", out.fmt.Name(), expected.Name())
 	}
-	var payload []byte
+	src, n := m.msg.Data, 1
 	if r := m.r; r != nil && !m.traced {
-		payload = r.tr.TakeBatch(&m.msg)
-	}
-	if payload == nil {
-		// Single record (not batched, frame tail, or a faked message):
-		// the ordinary per-record engine, into slot 0.
-		dst := out.ensure(1)
-		if err := m.convert(expected, dst); err != nil {
-			out.n = 0
-			return 0, err
+		if payload := r.tr.TakeBatch(&m.msg); payload != nil {
+			src, n = payload, len(payload)/m.msg.Format.Size
 		}
-		return 1, nil
 	}
-	n := len(payload) / m.msg.Format.Size
-	dst := out.ensure(n)
-	if err := m.convertBatch(expected, dst, payload, n); err != nil {
+	// A single record (not batched, frame tail, or a faked message) goes
+	// through the same body into slot 0.
+	if err := m.convert(expected, out.ensure(n), src, n); err != nil {
 		out.n = 0
 		return 0, err
 	}
 	return n, nil
-}
-
-// convertBatch runs the context's conversion engine over a whole batch
-// payload.  The interpreted engine has no fused form; it hoists the plan
-// and interpreter out of the loop and converts record by record, which
-// keeps the Interpreted-mode baseline honest in benchmarks.
-func (m *Message) convertBatch(expected *Format, dst, src []byte, n int) error {
-	ws, ns := m.msg.Format.Size, expected.wf.Size
-	if m.ctx.mode == Interpreted {
-		plan, err := m.interpPlan(expected.wf)
-		if err != nil {
-			return err
-		}
-		it := convert.NewInterp(plan)
-		if m.ctx.met.enabled {
-			it.SetMetrics(m.ctx.convMet)
-		}
-		for i := 0; i < n; i++ {
-			if err := it.Convert(dst[i*ns:(i+1)*ns], src[i*ws:(i+1)*ws]); err != nil {
-				return err
-			}
-		}
-		if m.ctx.met.enabled {
-			expected.met.decInterp.Add(int64(n))
-		}
-		return nil
-	}
-	prog, err := m.program(expected.wf)
-	if err != nil {
-		return err
-	}
-	if m.ctx.met.enabled {
-		start := time.Now()
-		if _, err := prog.ConvertBatch(dst, src); err != nil {
-			return err
-		}
-		expected.met.decBatch.Add(int64(n))
-		m.ctx.met.dcgBatchNanos.Observe(time.Since(start).Nanoseconds())
-		return nil
-	}
-	_, err = prog.ConvertBatch(dst, src)
-	return err
 }

@@ -202,6 +202,56 @@ func TestPhaseBatchSpansSizeFlush(t *testing.T) {
 	}
 }
 
+// TestPhaseBatchSpansUntraceableFormat pins the seq accounting across a
+// format that cannot carry the trace field: its sampled records go out
+// untraced but are still numbered, so a later traced record is drained by
+// the flush it left in — not by the flush of the batch before it.
+func TestPhaseBatchSpansUntraceableFormat(t *testing.T) {
+	sctx, tr := traceCtxFor(t, "sparc-v8", "sender")
+	odd, err := sctx.Register("odd", F("x", Int), Array("__pbio_trace", ULongLong, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := batchFormat(t, sctx)
+	w := sctx.NewWriter(io.Discard)
+	if err := w.SetBatching(1<<16, 0); err != nil {
+		t.Fatal(err)
+	}
+	batchSpans := func() int { return len(spansNamed(tr.Collector().Snapshot(), tracectx.PhaseBatch)) }
+	write := func(f *Format, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := w.Write(f.NewRecord()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flush := func(wantSpans int) {
+		t.Helper()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if w.writeSeq != w.flushedSeq {
+			t.Fatalf("after Flush: %d records written, %d flushed", w.writeSeq, w.flushedSeq)
+		}
+		if got := batchSpans(); got != wantSpans {
+			t.Fatalf("after Flush: %d batch spans, want %d (one per traced record flushed)", got, wantSpans)
+		}
+	}
+	write(odd, 3)
+	// The first tick flushes the three odd records (format change) and is
+	// itself still buffered, as is the second: no traced record has left.
+	write(tick, 2)
+	if got := batchSpans(); got != 0 {
+		t.Fatalf("%d batch spans while both traced records sit in the buffer", got)
+	}
+	flush(2)
+	write(odd, 1)
+	flush(2)
+	write(tick, 1)
+	flush(3)
+}
+
 // stageTicks writes n distinct tick records as one batch frame from a
 // sparc-v8 (or given arch) sender and returns the raw stream.
 func stageTicks(t *testing.T, arch string, n int) []byte {

@@ -48,7 +48,6 @@ import (
 	"sync"
 
 	"repro/internal/abi"
-	"repro/internal/convert"
 	"repro/internal/dcg"
 	"repro/internal/flightrec"
 	"repro/internal/fmtserver"
@@ -193,7 +192,7 @@ func (m ConvMode) String() string {
 type Context struct {
 	arch  abi.Arch
 	mode  ConvMode
-	cache *dcg.Cache
+	cache *dcg.Cache        // the one (wire, expected) pair table: plans, and under Generated their programs
 	fmtsv *fmtserver.Client // nil: in-band meta (the default)
 
 	// metaCache deduplicates meta decoding across every Reader of this
@@ -209,11 +208,10 @@ type Context struct {
 	resolverFn  func(uint64) (*wire.Format, error)
 
 	// Telemetry (see WithTelemetry).  met is never nil — it defaults to
-	// the shared no-op set; tel, convMet and tmet are nil when disabled.
-	tel     *telemetry.Registry
-	met     *ctxMetrics
-	convMet *convert.Metrics
-	tmet    *transport.Metrics
+	// the shared no-op set; tel and tmet are nil when disabled.
+	tel  *telemetry.Registry
+	met  *ctxMetrics
+	tmet *transport.Metrics
 
 	// Cross-hop tracing (see WithTracing).  Nil when tracing is off; the
 	// wire path then pays one nil-check per send and one boolean test per
@@ -224,32 +222,6 @@ type Context struct {
 	// discrete events — format registrations, DCG compiles, wire faults.
 	// Nil-safe: a nil recorder is a valid no-op sink.
 	flight *flightrec.Recorder
-
-	planMu sync.RWMutex
-	plans  map[[2]string]*convert.Plan
-}
-
-// plan returns the (cached) conversion plan from wf to nf.
-func (c *Context) plan(wf, nf *wire.Format) (*convert.Plan, error) {
-	key := [2]string{wf.Fingerprint(), nf.Fingerprint()}
-	c.planMu.RLock()
-	p := c.plans[key]
-	c.planMu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	p, err := convert.NewPlanTimed(wf, nf, c.convMet)
-	if err != nil {
-		return nil, err
-	}
-	c.planMu.Lock()
-	if existing, ok := c.plans[key]; ok {
-		p = existing
-	} else {
-		c.plans[key] = p
-	}
-	c.planMu.Unlock()
-	return p, nil
 }
 
 // Option configures a Context.
@@ -304,7 +276,6 @@ func NewContext(opts ...Option) (*Context, error) {
 		mode:      Generated,
 		cache:     dcg.NewCache(),
 		metaCache: transport.NewMetaCache(),
-		plans:     make(map[[2]string]*convert.Plan),
 	}
 	for _, o := range opts {
 		if err := o(c); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/convert"
+	"repro/internal/dcg"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -15,8 +16,9 @@ import (
 // transport's slot ordinal): what a record costs, and answers, when the
 // one before it was of a different format.
 
-// cacheGets returns how many Gets the context's dcg.Cache has answered,
-// by the cache's own counters.
+// cacheGets returns how many lookups of the context's pair table found a
+// program (hits) and how many compiled one (misses), by the context's
+// pbio_dcg_cache_* counters.
 func cacheGets(t *testing.T, reg *telemetry.Registry) (hits, misses int64) {
 	t.Helper()
 	for _, m := range reg.Snapshot() {
@@ -202,11 +204,9 @@ func TestRoundRobinInterpretedAndBatchShareSlot(t *testing.T) {
 					t.Errorf("round %d format %d: the plan was looked up again", round, i)
 				}
 			}
-			// Empty the context's plan cache: a later lookup would build a
+			// Empty the context's pair table: a later lookup would build a
 			// new plan, which the pointer compare above would see.
-			rctx.planMu.Lock()
-			clear(rctx.plans)
-			rctx.planMu.Unlock()
+			rctx.cache = dcg.NewCache()
 		}
 	})
 	t.Run("batch", func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/convert"
 	"repro/internal/dcg"
 	"repro/internal/native"
+	"repro/internal/telemetry/tracectx"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -104,15 +105,26 @@ func (w *Writer) Write(rec *Record) error {
 		return fmt.Errorf("pbio: record's format belongs to a different context")
 	}
 	if tr := w.ctx.tracer; tr != nil && tr.Sample() {
-		return w.writeTraced(rec, tr)
+		if twf, off, err := rec.fmt.tracedFormat(); err == nil {
+			return w.writeTraced(rec, tr, twf, off)
+		}
+		// The format cannot be extended; send untraced rather than fail a
+		// write that would have succeeded without tracing.
 	}
-	if err := w.tw.WriteRecord(rec.fmt.wf, rec.rec.Buf); err != nil {
+	return w.send(rec.fmt, rec.fmt.wf, rec.rec.Buf)
+}
+
+// send puts one record image of f on the wire under layout wf (f's own,
+// or its trace-extended variant) and keeps the books every sent record
+// is in: the batching sequence number and the per-format counter.
+func (w *Writer) send(f *Format, wf *wire.Format, image []byte) error {
+	if err := w.tw.WriteRecord(wf, image); err != nil {
 		return err
 	}
 	if w.batching {
 		w.writeSeq++
 	}
-	rec.fmt.met.sent.Inc()
+	f.met.sent.Inc()
 	return nil
 }
 
@@ -173,8 +185,8 @@ type Reader struct {
 // the transport never re-points an ordinal within a stream.
 type formatState struct {
 	convNF    *wire.Format  // what prog (compiled engine) or plan (Interpreted) converts
-	prog      *dcg.Program  // into; the shared caches are consulted only on a pair's
-	plan      *convert.Plan // first sight
+	prog      *dcg.Program  // into; the context's pair table is consulted only on a
+	plan      *convert.Plan // pair's first sight
 	viewNF    *wire.Format  // what same, wire.SameLayout's verdict, was computed against
 	same      bool
 	traceSeen bool // traceOff is resolved: the trace field's offset, or -1 for none
@@ -330,7 +342,7 @@ func (m *Message) DecodeInto(expected *Format, out *Record) error {
 	if out.fmt != expected {
 		return fmt.Errorf("pbio: record is of format %q, not %q", out.fmt.Name(), expected.Name())
 	}
-	return m.convert(expected, out.rec.Buf)
+	return m.convert(expected, out.rec.Buf, m.msg.Data, 1)
 }
 
 // View returns the message decoded as a record of the expected format
@@ -343,14 +355,27 @@ func (m *Message) DecodeInto(expected *Format, out *Record) error {
 //
 //pbio:hotpath noalloc=0 homogeneous receive path: two pointer compares and a record header store; pinned by pbio/alloc_test.go (TestAllocsHomogeneousView, TestAllocsBatchedView)
 func (m *Message) View(expected *Format) (rec *Record, ok bool, err error) {
+	nf := expected.wf
 	if m.traced {
-		return m.viewTraced(expected)
+		// A sampled record travels under the trace-extended format, so it
+		// is tested against the expected format's own trace-extended
+		// variant: when those agree the base record is a clean prefix of
+		// the wire bytes (appending a field never moves earlier offsets).
+		if nf, _, err = expected.tracedFormat(); err != nil {
+			return nil, false, nil
+		}
 	}
-	if !m.sameLayout(expected.wf) {
+	if !m.sameLayout(nf) {
 		return nil, false, nil
 	}
-	expected.met.decZero.Inc()
-	return m.viewAs(expected), true, nil
+	expected.met.dec[pathZeroCopy].Inc()
+	if !m.traced {
+		return m.viewAs(expected), true, nil
+	}
+	t0 := time.Now()
+	rec = m.viewAs(expected)
+	m.recSpan(tracectx.PhaseView, t0, time.Now(), pathZeroCopy)
+	return rec, true, nil
 }
 
 // viewAs points the reusable record at the message's leading
@@ -362,87 +387,87 @@ func (m *Message) viewAs(expected *Format) *Record {
 	return &m.view
 }
 
-// program returns the generated conversion program from the message's
-// wire format to nf: the one filed on the format's state, or — on the
-// pair's first sight, and always for a reader-less message — the shared
-// cache's.  DecodeInto and DecodeBatch run the same program.
-func (m *Message) program(nf *wire.Format) (*dcg.Program, error) {
+// resolve returns what converts the message's wire format into nf: the
+// compiled program, or under Interpreted the plan alone (the interpreted
+// baseline computes its field table once per wire format, as pre-DCG
+// PBIO did, and never pays for code generation).  The answer is the one
+// filed on the format's slot, or — on the pair's first sight, and always
+// for a reader-less message — the context's pair table's.  Every decode,
+// traced or not, single or batched, resolves here.
+//
+//pbio:hotpath noalloc=0 per-record slot hit, a pointer compare; pinned by pbio/alloc_test.go (TestAllocsDCGDecode, TestAllocsBatchDecode, TestAllocsRoundRobinDecode)
+func (m *Message) resolve(nf *wire.Format) (prog *dcg.Program, plan *convert.Plan, err error) {
 	st := m.state()
-	if st != nil && st.convNF == nf && st.prog != nil {
-		return st.prog, nil
+	if st != nil && st.convNF == nf {
+		return st.prog, st.plan, nil
 	}
-	prog, err := m.ctx.cache.Get(m.msg.Format, nf)
-	if err != nil {
-		return nil, err
+	if m.ctx.mode == Interpreted {
+		plan, err = m.ctx.cache.Plan(m.msg.Format, nf)
+	} else {
+		// A hit until the table's OnBuild hook says this lookup compiled
+		// (Context.noteBuild).
+		m.ctx.met.cacheHits.Inc()
+		prog, err = m.ctx.cache.Get(m.msg.Format, nf)
 	}
-	if st != nil {
-		st.convNF, st.prog, st.plan = nf, prog, nil
+	if err == nil && st != nil {
+		st.convNF, st.prog, st.plan = nf, prog, plan
 	}
-	return prog, nil
+	return prog, plan, err
 }
 
-// interpPlan is program's counterpart for the interpreted engine.
-func (m *Message) interpPlan(nf *wire.Format) (*convert.Plan, error) {
-	st := m.state()
-	if st != nil && st.convNF == nf && st.plan != nil {
-		return st.plan, nil
+// convert is the one decode body: it converts the n records in src (the
+// message's own bytes, or the rest of its batch frame) into dst with the
+// context's engine.  Only an observed decode — a sampled message, or a
+// context with telemetry — reads the clock, and the path counter, the
+// decode histogram and the match/convert spans are then reported from
+// the same three timestamps, so they agree by construction.
+//
+//pbio:hotpath noalloc=0 the body under DecodeInto and DecodeBatch; pinned by pbio/alloc_test.go (TestAllocsDCGDecode, TestAllocsBatchDecode, TestAllocsRoundRobinDecode)
+func (m *Message) convert(expected *Format, dst, src []byte, n int) error {
+	observed := m.traced || m.ctx.met.enabled
+	var t0, t1 time.Time
+	if observed {
+		t0 = time.Now()
 	}
-	plan, err := m.ctx.plan(m.msg.Format, nf)
+	prog, plan, err := m.resolve(expected.wf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if st != nil {
-		st.convNF, st.plan, st.prog = nf, plan, nil
+	if observed {
+		t1 = time.Now()
 	}
-	return plan, nil
-}
-
-// convert runs the context's conversion engine from the message buffer
-// into dst.
-func (m *Message) convert(expected *Format, dst []byte) error {
-	if m.traced {
-		// Sampled messages take the instrumented copy of this path (see
-		// trace.go) so the untraced hot path below stays branch-lean.
-		return m.convertTraced(expected, dst)
-	}
-	switch m.ctx.mode {
-	case Interpreted:
-		// The interpreted baseline still computes its field table once
-		// per wire format (as pre-DCG PBIO did); only the per-record
-		// execution is interpreted.
-		plan, err := m.interpPlan(expected.wf)
-		if err != nil {
-			return err
-		}
+	path := pathDCG
+	switch {
+	case prog == nil:
+		// The interpreted engine has no fused form: it converts a batch
+		// record by record, which keeps the baseline honest.
+		path = pathInterp
 		it := convert.NewInterp(plan)
-		if m.ctx.met.enabled {
-			// The interpreter times itself (pbio_convert_interp_nanos);
-			// the decode histogram gets the same observation under the
-			// path label so regimes compare side by side.
-			it.SetMetrics(m.ctx.convMet)
-			start := time.Now()
-			err = it.Convert(dst, m.msg.Data)
-			if err == nil {
-				expected.met.decInterp.Inc()
-				m.ctx.met.interpNanos.Observe(time.Since(start).Nanoseconds())
-			}
-			return err
+		if n == 1 {
+			err = it.Convert(dst, src)
+			break
 		}
-		return it.Convert(dst, m.msg.Data)
+		ws, ns := m.msg.Format.Size, expected.wf.Size
+		for i := 0; i < n && err == nil; i++ {
+			err = it.Convert(dst[i*ns:(i+1)*ns], src[i*ws:(i+1)*ws])
+		}
+	case n == 1:
+		err = prog.Convert(dst, src)
 	default:
-		prog, err := m.program(expected.wf)
-		if err != nil {
-			return err
-		}
-		if m.ctx.met.enabled {
-			start := time.Now()
-			err = prog.Convert(dst, m.msg.Data)
-			if err == nil {
-				expected.met.decDCG.Inc()
-				m.ctx.met.dcgNanos.Observe(time.Since(start).Nanoseconds())
-			}
-			return err
-		}
-		return prog.Convert(dst, m.msg.Data)
+		path = pathDCGBatch
+		_, err = prog.ConvertBatch(dst, src)
 	}
+	if err != nil || !observed {
+		return err
+	}
+	t2 := time.Now()
+	expected.met.dec[path].Add(int64(n))
+	m.ctx.met.decodeNanos[path].Observe(t2.Sub(t1).Nanoseconds())
+	if m.traced {
+		// match is the slot hit, or on first sight the table lookup and
+		// whatever it built; convert is the execution.
+		m.recSpan(tracectx.PhaseMatch, t0, t1, path)
+		m.recSpan(tracectx.PhaseConv, t1, t2, path)
+	}
+	return nil
 }

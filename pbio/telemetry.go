@@ -1,7 +1,6 @@
 package pbio
 
 import (
-	"repro/internal/convert"
 	"repro/internal/dcg"
 	"repro/internal/flightrec"
 	"repro/internal/telemetry"
@@ -45,13 +44,20 @@ func WithTelemetry(r *telemetry.Registry) Option {
 // Telemetry returns the context's registry (nil when telemetry is off).
 func (c *Context) Telemetry() *telemetry.Registry { return c.tel }
 
-// Conversion path label values, matching the paper's receive regimes.
+// decodePath is the conversion path a decode took — the paper's receive
+// regimes — and the index of its series in the per-path metric arrays.
+type decodePath uint8
+
 const (
-	pathZeroCopy = "zero_copy"
-	pathInterp   = "interp"
-	pathDCG      = "dcg"
-	pathDCGBatch = "dcg_batch"
+	pathZeroCopy decodePath = iota
+	pathInterp
+	pathDCG
+	pathDCGBatch // the compiled engine entered once per batch frame
+	numPaths
 )
+
+// pathNames are the path label values, on metrics and on spans.
+var pathNames = [numPaths]string{"zero_copy", "interp", "dcg", "dcg_batch"}
 
 // ctxMetrics is the pbio-level metric set.  The zero value is a valid
 // no-op set (all handles nil); contexts without telemetry share
@@ -62,17 +68,23 @@ type ctxMetrics struct {
 	recordsSent *telemetry.CounterVec // labels: format
 	recordsRecv *telemetry.Counter
 
-	decodes     *telemetry.CounterVec   // labels: format, path
-	decodeNanos *telemetry.HistogramVec // labels: path
+	decodes *telemetry.CounterVec // labels: format, path
 
-	// Pre-resolved per-path histograms (With is a lock + map lookup;
-	// resolve once here, off the hot path).  dcgBatchNanos observes one
-	// latency per batch frame, not per record — the decodes counter
-	// still advances per record, so records/observation is the realized
-	// batch size.
-	interpNanos   *telemetry.Histogram
-	dcgNanos      *telemetry.Histogram
-	dcgBatchNanos *telemetry.Histogram
+	// decodeNanos is pbio_decode_nanos resolved per path (With is a lock
+	// + map lookup; resolve once here, off the hot path).  One
+	// observation per decode call: a record for DecodeInto, a frame for
+	// DecodeBatch — the decodes counter still advances per record, so
+	// records/observation is the realized batch size.  A View is not
+	// timed: zero_copy stays nil.
+	decodeNanos [numPaths]*telemetry.Histogram
+
+	// First-sight work, fed from the pair table's OnBuild hook
+	// (noteBuild); cacheHits counts the table lookups that compiled
+	// nothing.
+	cacheHits, cacheMisses *telemetry.Counter
+	compileNanos           *telemetry.Histogram
+	planBuilds             *telemetry.Counter
+	planBuildNanos         *telemetry.Histogram
 }
 
 var nopCtxMetrics = &ctxMetrics{}
@@ -81,8 +93,8 @@ var nopCtxMetrics = &ctxMetrics{}
 // flight recorder, which works with or without a registry.  Called
 // once from NewContext after options are applied.
 func (c *Context) initTelemetry() {
-	if c.flight != nil {
-		c.cache.SetFlight(c.flight)
+	if c.tel != nil || c.flight != nil {
+		c.cache.OnBuild = c.noteBuild
 	}
 	if c.tel == nil {
 		c.met = nopCtxMetrics
@@ -100,8 +112,6 @@ func (c *Context) initTelemetry() {
 		// HTTP surface.
 		c.tracer.ExportMetrics(c.tel)
 	}
-	c.convMet = convert.NewMetrics(c.tel)
-	c.cache.SetMetrics(dcg.NewMetrics(c.tel), c.convMet)
 	c.tmet = transport.NewMetrics(c.tel)
 	if c.flight != nil {
 		// NewMetrics built a fresh set for this registry; attaching the
@@ -109,8 +119,6 @@ func (c *Context) initTelemetry() {
 		c.tmet.Flight = c.flight
 		c.flight.ExportMetrics(c.tel)
 	}
-	decodeNanos := c.tel.HistogramVec("pbio_decode_nanos",
-		"Latency of one record conversion on the receive path, nanoseconds.", "path")
 	c.met = &ctxMetrics{
 		enabled: true,
 		recordsSent: c.tel.CounterVec("pbio_records_sent_total",
@@ -123,34 +131,53 @@ func (c *Context) initTelemetry() {
 				"receive regimes; dcg_batch is the compiled engine entered "+
 				"once per batch frame).",
 			"format", "path"),
-		decodeNanos:   decodeNanos,
-		interpNanos:   decodeNanos.With(pathInterp),
-		dcgNanos:      decodeNanos.With(pathDCG),
-		dcgBatchNanos: decodeNanos.With(pathDCGBatch),
+		cacheHits:      c.tel.Counter("pbio_dcg_cache_hits_total", "Conversion-program cache hits."),
+		cacheMisses:    c.tel.Counter("pbio_dcg_cache_misses_total", "Conversion-program cache misses (each one compiles)."),
+		compileNanos:   c.tel.Histogram("pbio_dcg_compile_nanos", "Latency of one conversion-program compilation, nanoseconds."),
+		planBuilds:     c.tel.Counter("pbio_convert_plan_builds_total", "Conversion plans built (once per wire/native format pair)."),
+		planBuildNanos: c.tel.Histogram("pbio_convert_plan_build_nanos", "Latency of conversion plan construction, nanoseconds."),
 	}
+	decodeNanos := c.tel.HistogramVec("pbio_decode_nanos",
+		"Latency of one record conversion on the receive path, nanoseconds.", "path")
+	for p := pathInterp; p < numPaths; p++ {
+		c.met.decodeNanos[p] = decodeNanos.With(pathNames[p])
+	}
+}
+
+// noteBuild is the pair table's OnBuild hook, the one place first-sight
+// work is counted, timed and journaled.
+func (c *Context) noteBuild(b dcg.Build) {
+	if b.Program == nil {
+		c.met.planBuilds.Inc()
+		c.met.planBuildNanos.Observe(b.Nanos)
+		return
+	}
+	// The lookup that compiled counted itself a hit on its way in (see
+	// Message.resolve); take that back.
+	c.met.cacheHits.Add(-1)
+	c.met.cacheMisses.Inc()
+	c.met.compileNanos.Observe(b.Nanos)
+	runs, words, steps := b.Program.Stats()
+	c.flight.Emit(flightrec.KindDCGCompile, b.Plan.Wire.Name, 0, b.Nanos,
+		flightrec.BatchShape(int64(runs), int64(words), int64(steps)))
 }
 
 // formatMetrics is the per-Format resolved counter set, bound once at
 // Register time so the send and decode hot paths touch no maps and
 // build no label keys.  The zero value is a valid no-op set.
 type formatMetrics struct {
-	sent      *telemetry.Counter
-	decZero   *telemetry.Counter
-	decInterp *telemetry.Counter
-	decDCG    *telemetry.Counter
-	decBatch  *telemetry.Counter
+	sent *telemetry.Counter
+	dec  [numPaths]*telemetry.Counter // pbio_decodes_total, by path
 }
 
 // bindFormatMetrics resolves the per-format counters for name.
-func (c *Context) bindFormatMetrics(name string) formatMetrics {
+func (c *Context) bindFormatMetrics(name string) (fm formatMetrics) {
 	if !c.met.enabled {
-		return formatMetrics{}
+		return fm
 	}
-	return formatMetrics{
-		sent:      c.met.recordsSent.With(name),
-		decZero:   c.met.decodes.With(name, pathZeroCopy),
-		decInterp: c.met.decodes.With(name, pathInterp),
-		decDCG:    c.met.decodes.With(name, pathDCG),
-		decBatch:  c.met.decodes.With(name, pathDCGBatch),
+	fm.sent = c.met.recordsSent.With(name)
+	for p := range fm.dec {
+		fm.dec[p] = c.met.decodes.With(name, pathNames[p])
 	}
+	return fm
 }

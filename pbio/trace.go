@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/convert"
 	"repro/internal/telemetry/tracectx"
 	"repro/internal/wire"
 )
@@ -93,22 +92,12 @@ func (f *Format) tracedFormat() (*wire.Format, int, error) {
 	return f.traceWF, f.traceOff, f.traceErr
 }
 
-// writeTraced transmits one sampled record under the trace-extended
-// format, recording the sender-side phase spans (extend, frame, and the
-// covering send root).
-func (w *Writer) writeTraced(rec *Record, tr *tracectx.Tracer) error {
+// writeTraced transmits one sampled record under twf, the format's
+// trace-extended layout with its trace field at off, recording the
+// sender-side phase spans (extend, frame, and the covering send root).
+func (w *Writer) writeTraced(rec *Record, tr *tracectx.Tracer, twf *wire.Format, off int) error {
 	t0 := time.Now()
 	f := rec.fmt
-	twf, off, err := f.tracedFormat()
-	if err != nil {
-		// The format cannot be extended; send untraced rather than fail
-		// a write that would have succeeded without tracing.
-		if err := w.tw.WriteRecord(f.wf, rec.rec.Buf); err != nil {
-			return err
-		}
-		f.met.sent.Inc()
-		return nil
-	}
 	traceID, root := tr.NewID(), tr.NewID()
 	if cap(w.traceBuf) < twf.Size {
 		w.traceBuf = make([]byte, twf.Size)
@@ -132,15 +121,11 @@ func (w *Writer) writeTraced(rec *Record, tr *tracectx.Tracer) error {
 			seq: w.writeSeq + 1, trace: traceID, parent: root, fmtName: f.wf.Name,
 		})
 	}
-	err = w.tw.WriteRecord(twf, buf)
+	err := w.send(f, twf, buf)
 	t2 := time.Now()
 	if err != nil {
 		return err
 	}
-	if w.batching {
-		w.writeSeq++
-	}
-	f.met.sent.Inc()
 	name := f.wf.Name
 	tr.Record(tracectx.Span{Trace: traceID, ID: tr.NewID(), Parent: root,
 		Name: tracectx.PhaseExtend, Start: t0, Dur: t1.Sub(t0), Format: name})
@@ -220,75 +205,8 @@ func (m *Message) TraceID() (uint64, bool) {
 
 // recSpan records one receiver-side decode-phase span for a traced
 // message.
-func (m *Message) recSpan(name string, start, end time.Time, path string) {
+func (m *Message) recSpan(name string, start, end time.Time, path decodePath) {
 	tr := m.ctx.tracer
 	tr.Record(tracectx.Span{Trace: m.tc.TraceID, ID: tr.NewID(), Parent: m.tc.ParentSpan,
-		Name: name, Start: start, Dur: end.Sub(start), Format: m.msg.Format.Name, Path: path})
-}
-
-// viewTraced is the zero-copy path for sampled messages.  A traced
-// record travels under the trace-extended format, so the plain layout
-// test in View can never match; instead the receiver checks the message
-// against its own trace-extended variant of the expected format — when
-// those agree, the base record is a clean prefix of the wire bytes
-// (appending a field never moves earlier offsets) and is viewed in
-// place exactly like an untraced homogeneous record.
-func (m *Message) viewTraced(expected *Format) (*Record, bool, error) {
-	twf, _, err := expected.tracedFormat()
-	if err != nil || !m.sameLayout(twf) {
-		return nil, false, nil
-	}
-	t0 := time.Now()
-	rec := m.viewAs(expected)
-	expected.met.decZero.Inc()
-	m.recSpan(tracectx.PhaseView, t0, time.Now(), "zero_copy")
-	return rec, true, nil
-}
-
-// convertTraced mirrors Message.convert with per-phase span recording:
-// match covers the plan/program lookup (building it on a cache miss),
-// convert covers the per-record execution.  Metric observations match
-// the untraced path so sampling does not skew the histograms.
-func (m *Message) convertTraced(expected *Format, dst []byte) error {
-	ctx := m.ctx
-	switch ctx.mode {
-	case Interpreted:
-		t0 := time.Now()
-		plan, err := ctx.plan(m.msg.Format, expected.wf)
-		if err != nil {
-			return err
-		}
-		t1 := time.Now()
-		m.recSpan(tracectx.PhaseMatch, t0, t1, "interp")
-		it := convert.NewInterp(plan)
-		if ctx.met.enabled {
-			it.SetMetrics(ctx.convMet)
-		}
-		err = it.Convert(dst, m.msg.Data)
-		t2 := time.Now()
-		if err != nil {
-			return err
-		}
-		expected.met.decInterp.Inc()
-		ctx.met.interpNanos.Observe(t2.Sub(t1).Nanoseconds())
-		m.recSpan(tracectx.PhaseConv, t1, t2, "interp")
-		return nil
-	default:
-		t0 := time.Now()
-		prog, err := ctx.cache.Get(m.msg.Format, expected.wf)
-		if err != nil {
-			return err
-		}
-		t1 := time.Now()
-		m.recSpan(tracectx.PhaseMatch, t0, t1, "dcg")
-		err = prog.Convert(dst, m.msg.Data)
-		t2 := time.Now()
-		if err != nil {
-			return err
-		}
-		expected.met.decDCG.Inc()
-		ctx.met.dcgNanos.Observe(t2.Sub(t1).Nanoseconds())
-		m.recSpan(tracectx.PhaseConv, t1, t2, "dcg")
-		return nil
-	}
+		Name: name, Start: start, Dur: end.Sub(start), Format: m.msg.Format.Name, Path: pathNames[path]})
 }
