@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-std vet-pbio vet-report lint pbiovet test test-race chaos fuzz bench bench-smoke bench-compare bench-all figures examples clean
+.PHONY: all build vet vet-std vet-pbio vet-report lint pbiovet test test-race chaos fuzz bench figures examples clean
 
 all: build vet test
 
@@ -69,51 +69,18 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadJournal -fuzztime 20s ./internal/flightrec/
 	$(GO) test -run xxx -fuzz FuzzConvertBatch -fuzztime 20s ./internal/dcg/
 
-# bench runs the perf-trajectory benchmarks (pbio public API, DCG
-# engine, wire formats and field lookup) and stores them as a
-# machine-readable artifact.  BENCHTIME controls depth; bench-smoke is the CI-speed variant (one iteration per
-# benchmark: verifies the benchmarks run, produces no timing signal, and
-# writes bench_current.json so it cannot overwrite the BENCHBASE file).
-BENCHTIME ?= 1s
-BENCHOUT  ?= BENCH_pr16.json
-
+# The two measurement surfaces.  bench is the standing benchmark: every
+# workload end to end plus the per-layer ledger (benchmark/README.md);
+# micro-benchmark allocation counts are pinned exactly in tier-1
+# (pbio's TestAllocs*, dcg's TestConvertBatchAllocs, wire's
+# TestCursorAllocs).  figures regenerates Figures 1-7, the paper-text tables and the
+# headline claims, and fails when one of the figures' orderings does not
+# hold.
 bench:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run xxx ./pbio/ ./internal/dcg/ ./internal/wire/ \
-		| $(GO) run ./cmd/benchjson > $(BENCHOUT)
-	@echo "wrote $(BENCHOUT)"
+	bash benchmark/run.sh
 
-bench-smoke:
-	$(MAKE) bench BENCHTIME=1x BENCHOUT=bench_current.json
-
-# bench-compare re-runs the benchmarks and diffs them against the
-# checked-in baseline (BENCHBASE): allocs/op must not grow at all, B/op
-# and ns/op within thresholds.  A regression exits nonzero and fails CI.
-# COMPAREBENCHTIME must be enough iterations to amortize one-time setup
-# (1x smoke artifacts make allocs/op meaningless); COMPAREFLAGS tunes
-# the thresholds — CI passes -ns-threshold=-1 because the baseline's
-# wall-clock numbers come from different hardware.
-BENCHBASE        ?= BENCH_pr16.json
-COMPAREBENCHTIME ?= 5000x
-COMPAREFLAGS     ?=
-
-bench-compare:
-	$(MAKE) bench BENCHOUT=bench_current.json BENCHTIME=$(COMPAREBENCHTIME)
-	$(GO) run ./cmd/benchjson -compare $(COMPAREFLAGS) $(BENCHBASE) bench_current.json
-
-# Full benchmark sweep over every package (human-readable).
-bench-all:
-	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate every table/figure of the paper plus the extension tables.
 figures:
 	$(GO) run ./cmd/wireperf
-	$(GO) run ./cmd/wireperf -gencost
-	$(GO) run ./cmd/wireperf -nested
-	$(GO) run ./cmd/wireperf -homo
-	$(GO) run ./cmd/wireperf -wire
-	$(GO) run ./cmd/wireperf -xmlrt
-	$(GO) run ./cmd/wireperf -pairs
-	$(GO) run ./cmd/wireperf -live
 
 examples:
 	$(GO) run ./examples/quickstart

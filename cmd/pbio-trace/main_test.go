@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry/tracectx"
+	"repro/pbio"
 )
 
 // writeExport writes one process's span set as a /debug/trace.json
@@ -77,6 +79,82 @@ func TestReadSourceFileAndJoin(t *testing.T) {
 	}
 	if len(b.Procs) != 2 || b.Procs[0] != "sender/1" || b.Procs[1] != "receiver/2" {
 		t.Fatalf("hops = %v", b.Procs)
+	}
+}
+
+// TestJoinRealExchange puts spans pbio itself records through the tool's
+// path: a traced sparc-v9-64 -> x86-64 exchange, both span sets written
+// as Chrome JSON and read back, joins into one trace per record that
+// carries every phase of the wire path.
+func TestJoinRealExchange(t *testing.T) {
+	const records = 4
+	fields := []pbio.FieldSpec{
+		pbio.F("node", pbio.Int), pbio.F("timestamp", pbio.Double), pbio.Array("values", pbio.Double, 12),
+	}
+	sendTr := tracectx.New("sender", 1, 64)
+	recvTr := tracectx.New("receiver", 1, 64)
+	sctx, err := pbio.NewContext(pbio.WithArch("sparc-v9-64"), pbio.WithTracer(sendTr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := sctx.Register("mixed", fields...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	w := sctx.NewWriter(&stream)
+	rec := sf.NewRecord()
+	for i := 0; i < records; i++ {
+		rec.MustSetInt("node", 0, int64(i))
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rctx, err := pbio.NewContext(pbio.WithArch("x86-64"),
+		pbio.WithConversion(pbio.Generated), pbio.WithTracer(recvTr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := rctx.Register("mixed", fields...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rctx.NewReader(&stream)
+	defer r.Close()
+	out := rf.NewRecord()
+	for i := 0; i < records; i++ {
+		m, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DecodeInto(rf, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	var sets [][]tracectx.Span
+	for _, tr := range []*tracectx.Tracer{sendTr, recvTr} {
+		spans, _, err := readSource(writeExport(t, dir, tr.Proc()+".json", tr.Collector().Snapshot(), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, spans)
+	}
+	traces := tracectx.Join(sets...)
+	if len(traces) != records {
+		t.Fatalf("joined %d traces from %d records", len(traces), records)
+	}
+	for i := range traces {
+		seen := map[string]bool{}
+		for _, p := range traces[i].Break().Phases {
+			seen[p.Name] = true
+		}
+		for _, want := range []string{tracectx.PhaseFrame, tracectx.PhaseWire, tracectx.PhaseMatch, tracectx.PhaseConv} {
+			if !seen[want] {
+				t.Errorf("trace %016x has no %s phase (has %v)", traces[i].ID, want, seen)
+			}
+		}
 	}
 }
 

@@ -1,375 +1,61 @@
 // Command wireperf regenerates the evaluation tables of "Efficient Wire
-// Formats for High Performance Computing" (SC 2000): Figures 1-7 and the
-// headline claims, using the mixed-field workload at the paper's four
-// message sizes.
+// Formats for High Performance Computing" (SC 2000): Figures 1-7, the
+// four tables for questions the paper's text asks and no figure answers
+// (homogeneous decode, wire sizes, the XML roundtrip Figure 5 left out,
+// live loopback roundtrips) and the headline claims, using the
+// mixed-field workload at the paper's four message sizes.
 //
 // Usage:
 //
 //	wireperf            # run everything
 //	wireperf -fig 4     # one figure
-//	wireperf -claims    # headline ratios only
-//	wireperf -sizes     # show the workload sizes and layouts
-//	wireperf -telemetry # live pbio exchange, print telemetry JSON
-//	wireperf -trace     # traced exchange, per-phase latency at each size
-//	wireperf -batch 64  # batched vs per-record framing throughput
+//	wireperf -claims    # headline ratios and the figures' orderings only
+//
+// The claims table checks the orderings Figures 2-7 rest on; wireperf
+// exits 1 when one does not hold.  Every other measurement question has
+// its row in the standing benchmark (benchmark/run.sh) or a testing.B.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"time"
 
-	"repro/internal/abi"
 	"repro/internal/bench"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/tracectx"
-	"repro/internal/wire"
-	"repro/pbio"
 )
 
 func main() {
 	fig := flag.Int("fig", 0, "regenerate one figure (1-7); 0 runs all")
-	claims := flag.Bool("claims", false, "compute the headline claims only")
-	sizes := flag.Bool("sizes", false, "print the workload sizes and record layouts")
-	gencost := flag.Bool("gencost", false, "DCG generation cost vs per-record saving")
-	nested := flag.Bool("nested", false, "nested (array-of-structs) vs flat decode costs")
-	homo := flag.Bool("homo", false, "homogeneous-exchange decode comparison")
-	wires := flag.Bool("wire", false, "wire bytes per record across systems")
-	xmlrt := flag.Bool("xmlrt", false, "the roundtrip Figure 5 omitted: XML vs PBIO")
-	pairs := flag.Bool("pairs", false, "conversion cost across architecture pairs")
-	live := flag.Bool("live", false, "actual roundtrips over TCP loopback (no model)")
-	telem := flag.Bool("telemetry", false, "run a pbio exchange in all three receive regimes and print the telemetry snapshot (conversion-path breakdown per format) as JSON")
-	traced := flag.Bool("trace", false, "run a fully-sampled traced exchange at the paper's four message sizes and print the mean per-phase latency breakdown")
-	traceOut := flag.String("trace-out", "", "with -trace: also write every recorded span as Chrome trace-event JSON (Perfetto-loadable) to this file")
-	batch := flag.Int("batch", 0, "measure batched vs per-record framing over TCP loopback, coalescing up to N records per frame")
+	claims := flag.Bool("claims", false, "compute the headline claims and check the figures' orderings only")
 	flag.Parse()
-
-	switch {
-	case *batch != 0:
-		if err := batchRun(os.Stdout, *batch); err != nil {
-			fmt.Fprintf(os.Stderr, "wireperf: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case *telem:
-		if err := telemetryRun(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "wireperf: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case *traced:
-		if err := traceRun(os.Stdout, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "wireperf: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case *sizes:
-		printSizes()
-		return
-	case *wires:
-		bench.WireSizes().Fprint(os.Stdout)
-		return
-	case *gencost:
-		bench.GenCost().Fprint(os.Stdout)
-		return
-	case *nested:
-		bench.Nested().Fprint(os.Stdout)
-		return
-	case *homo:
-		bench.Homo().Fprint(os.Stdout)
-		return
-	case *xmlrt:
-		bench.XMLRoundTrip().Fprint(os.Stdout)
-		return
-	case *pairs:
-		bench.Pairs().Fprint(os.Stdout)
-		return
-	case *live:
-		bench.LiveRoundTrip().Fprint(os.Stdout)
-		return
-	}
 
 	figures := map[int]func() *bench.Table{
 		1: bench.Fig1, 2: bench.Fig2, 3: bench.Fig3, 4: bench.Fig4,
 		5: bench.Fig5, 6: bench.Fig6, 7: bench.Fig7,
 	}
-
-	switch {
-	case *claims:
-		bench.Claims().Fprint(os.Stdout)
-	case *fig != 0:
+	if *fig != 0 {
 		fn, ok := figures[*fig]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "wireperf: no figure %d (have 1-7)\n", *fig)
 			os.Exit(2)
 		}
 		fn().Fprint(os.Stdout)
-	default:
+		return
+	}
+	if !*claims {
 		for i := 1; i <= 7; i++ {
 			figures[i]().Fprint(os.Stdout)
 		}
-		bench.Claims().Fprint(os.Stdout)
+		for _, table := range []func() *bench.Table{
+			bench.Homo, bench.WireSizes, bench.XMLRoundTrip, bench.LiveRoundTrip,
+		} {
+			table().Fprint(os.Stdout)
+		}
 	}
-}
-
-func printSizes() {
-	t := &bench.Table{
-		Title:  "Workload: mixed-field record (paper section 4.1)",
-		Header: []string{"size", "values[]", "sparc bytes", "x86 bytes", "XDR bytes"},
-	}
-	for _, s := range bench.Sizes() {
-		p := bench.MustPair(s, bench.MixedSchema)
-		o := bench.MustOps(p)
-		t.AddRow(s.Label,
-			fmt.Sprint(s.N),
-			fmt.Sprint(p.SparcFmt.Size),
-			fmt.Sprint(p.X86Fmt.Size),
-			fmt.Sprint(o.MPIPackedSize()))
-	}
+	t, err := bench.Claims()
 	t.Fprint(os.Stdout)
-
-	fmt.Println("\nRecord layouts at 100b:")
-	s := bench.Sizes()[0]
-	for _, a := range []abi.Arch{abi.SparcV8, abi.X86} {
-		a := a
-		f := wire.MustLayout(bench.MixedSchema(s.N), &a)
-		fmt.Print(f.String())
-	}
-}
-
-// telemetryIters is the number of records exchanged per regime in the
-// -telemetry run.
-const telemetryIters = 64
-
-// telemetryRun performs a live pbio exchange in each of the paper's
-// three receive regimes — zero-copy (homogeneous View), interpreted
-// conversion, and DCG-generated conversion — with a telemetry registry
-// attached, then prints the registry snapshot as JSON.  The
-// conversion_paths section is the ground truth for experiments: it
-// shows which regime actually executed, per format, rather than which
-// one was requested.
-func telemetryRun(w io.Writer) error {
-	reg := telemetry.NewRegistry()
-
-	mixed := []pbio.FieldSpec{
-		pbio.F("node", pbio.Int),
-		pbio.F("timestamp", pbio.Double),
-		pbio.Array("values", pbio.Double, 64),
-	}
-
-	// Regime 1: homogeneous exchange, zero-copy View on the receiver.
-	if err := exchange(reg, "x86-64", "x86-64", pbio.Generated, mixed, true); err != nil {
-		return fmt.Errorf("zero-copy regime: %w", err)
-	}
-	// Regime 2: heterogeneous exchange, interpreted conversion.
-	if err := exchange(reg, "sparc-v8", "x86-64", pbio.Interpreted, mixed, false); err != nil {
-		return fmt.Errorf("interpreted regime: %w", err)
-	}
-	// Regime 3: heterogeneous exchange, DCG-generated conversion.
-	if err := exchange(reg, "sparc-v8", "x86-64", pbio.Generated, mixed, false); err != nil {
-		return fmt.Errorf("dcg regime: %w", err)
-	}
-
-	// conversion_paths: format -> path -> decode count, distilled from
-	// the pbio_decodes_total family.
-	paths := make(map[string]map[string]int64)
-	snapshot := reg.Snapshot()
-	for _, m := range snapshot {
-		if m.Name != "pbio_decodes_total" {
-			continue
-		}
-		for _, s := range m.Series {
-			f, p := s.Labels["format"], s.Labels["path"]
-			if paths[f] == nil {
-				paths[f] = make(map[string]int64)
-			}
-			paths[f][p] += s.Value
-		}
-	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Iters           int                         `json:"records_per_regime"`
-		ConversionPaths map[string]map[string]int64 `json:"conversion_paths"`
-		Metrics         []telemetry.MetricSnapshot  `json:"metrics"`
-	}{telemetryIters, paths, snapshot})
-}
-
-// traceIters is the number of records exchanged per size in the -trace
-// run; every one is sampled, so each contributes a full trace.
-const traceIters = 32
-
-// spanDump collects every span recorded during a -trace run for the
-// optional -trace-out Chrome JSON export.
-type spanDump []tracectx.Span
-
-// traceRun performs a traced heterogeneous exchange (sparc-v9-64 sender,
-// x86-64 receiver, DCG conversion) at each of the paper's four message
-// sizes with sampling rate 1, joins sender and receiver spans offline,
-// and prints the mean duration of every wire-path phase — the per-phase
-// recipe of EXPERIMENTS.md.  The in-memory "wire" makes the wire phase a
-// pure software cost (framing to arrival); over TCP it would include the
-// network.
-func traceRun(w io.Writer, outFile string) error {
-	var dump spanDump
-	t := &bench.Table{
-		Title: fmt.Sprintf("Per-phase latency, traced pbio exchange (mean of %d records, sparc-v9-64 -> x86-64, DCG)", traceIters),
-		Header: []string{"size", "extend", "frame", "wire", "match", "convert", "e2e"},
-	}
-	for _, s := range bench.Sizes() {
-		fields := []pbio.FieldSpec{
-			pbio.F("node", pbio.Int),
-			pbio.F("timestamp", pbio.Double),
-			pbio.F("iter", pbio.Long),
-			pbio.Array("tag", pbio.Char, 16),
-			pbio.F("residual", pbio.Float),
-			pbio.F("flags", pbio.UInt),
-			pbio.Array("values", pbio.Double, s.N),
-		}
-		sendTr := tracectx.New("sender", 1, traceIters*4)
-		recvTr := tracectx.New("receiver", 1, traceIters*4)
-
-		sctx, err := pbio.NewContext(pbio.WithArch("sparc-v9-64"), pbio.WithTracer(sendTr))
-		if err != nil {
-			return err
-		}
-		sf, err := sctx.Register("mixed", fields...)
-		if err != nil {
-			return err
-		}
-		var stream bytes.Buffer
-		sw := sctx.NewWriter(&stream)
-		rec := sf.NewRecord()
-		for i := 0; i < traceIters; i++ {
-			rec.SetInt("node", 0, int64(i))
-			if err := sw.Write(rec); err != nil {
-				return err
-			}
-		}
-
-		rctx, err := pbio.NewContext(pbio.WithArch("x86-64"),
-			pbio.WithConversion(pbio.Generated), pbio.WithTracer(recvTr))
-		if err != nil {
-			return err
-		}
-		rf, err := rctx.Register("mixed", fields...)
-		if err != nil {
-			return err
-		}
-		r := rctx.NewReader(&stream)
-		out := rf.NewRecord()
-		for i := 0; i < traceIters; i++ {
-			m, err := r.Read()
-			if err != nil {
-				return err
-			}
-			if err := m.DecodeInto(rf, out); err != nil {
-				return err
-			}
-		}
-
-		sendSpans := sendTr.Collector().Snapshot()
-		recvSpans := recvTr.Collector().Snapshot()
-		dump = append(append(dump, sendSpans...), recvSpans...)
-		traces := tracectx.Join(sendSpans, recvSpans)
-		if len(traces) == 0 {
-			return fmt.Errorf("%s: no traces joined", s.Label)
-		}
-		phase := make(map[string]time.Duration)
-		var e2e time.Duration
-		for i := range traces {
-			b := traces[i].Break()
-			e2e += b.E2E
-			for _, p := range b.Phases {
-				phase[p.Name] += p.Dur
-			}
-		}
-		n := time.Duration(len(traces))
-		t.AddRow(s.Label,
-			bench.FmtDuration(phase[tracectx.PhaseExtend]/n),
-			bench.FmtDuration(phase[tracectx.PhaseFrame]/n),
-			bench.FmtDuration(phase[tracectx.PhaseWire]/n),
-			bench.FmtDuration(phase[tracectx.PhaseMatch]/n),
-			bench.FmtDuration(phase[tracectx.PhaseConv]/n),
-			bench.FmtDuration(e2e/n))
-	}
-	t.Fprint(w)
-	if outFile != "" {
-		f, err := os.Create(outFile)
-		if err != nil {
-			return err
-		}
-		if err := tracectx.WriteChrome(f, dump, 0); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %d spans to %s (load in Perfetto / chrome://tracing)\n", len(dump), outFile)
-	}
-	return nil
-}
-
-// exchange writes telemetryIters records under the sender architecture
-// and receives them under the receiver architecture, using View when
-// zeroCopy is set and Decode (under the given conversion mode)
-// otherwise.  Both contexts share the telemetry registry; the receiver
-// context does the decoding, so the conversion-path counters land on
-// its "mixed" format.
-func exchange(reg *telemetry.Registry, sendArch, recvArch string, mode pbio.ConvMode, fields []pbio.FieldSpec, zeroCopy bool) error {
-	sctx, err := pbio.NewContext(pbio.WithArch(sendArch))
 	if err != nil {
-		return err
+		fmt.Fprintf(os.Stderr, "wireperf: %v\n", err)
+		os.Exit(1)
 	}
-	sf, err := sctx.Register("mixed", fields...)
-	if err != nil {
-		return err
-	}
-	var stream bytes.Buffer
-	sw := sctx.NewWriter(&stream)
-	rec := sf.NewRecord()
-	for i := 0; i < telemetryIters; i++ {
-		rec.SetInt("node", 0, int64(i))
-		if err := sw.Write(rec); err != nil {
-			return err
-		}
-	}
-
-	rctx, err := pbio.NewContext(pbio.WithArch(recvArch),
-		pbio.WithConversion(mode), pbio.WithTelemetry(reg))
-	if err != nil {
-		return err
-	}
-	rf, err := rctx.Register("mixed", fields...)
-	if err != nil {
-		return err
-	}
-	r := rctx.NewReader(&stream)
-	out := rf.NewRecord()
-	for i := 0; i < telemetryIters; i++ {
-		m, err := r.Read()
-		if err != nil {
-			return err
-		}
-		if zeroCopy {
-			_, ok, err := m.View(rf)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("expected zero-copy view, layouts differ")
-			}
-			continue
-		}
-		if err := m.DecodeInto(rf, out); err != nil {
-			return err
-		}
-	}
-	return nil
 }

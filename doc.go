@@ -3,8 +3,8 @@
 // Schwan, Widener — SC 2000).
 //
 // The public library lives in package repro/pbio; the substrates it is
-// built on live under internal/ (see DESIGN.md for the inventory); the
-// experiment harness is internal/bench with the wireperf command; and the
-// testing.B benchmarks regenerating the paper's figures are in
-// bench_test.go alongside this file.
+// built on live under internal/ (see DESIGN.md for the inventory).  The
+// paper's figures are regenerated by the wireperf command over
+// internal/bench; the standing benchmark, end to end and per layer, is
+// the nested module under benchmark/.
 package repro

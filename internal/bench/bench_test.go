@@ -64,9 +64,6 @@ func TestOpsProduceConsistentResults(t *testing.T) {
 	if o.MPIPackedSize() <= 0 || o.PBIOWireSize() <= 0 || o.XMLWireSize() <= 0 || o.CDRWireSize() <= 0 {
 		t.Error("wire size accessor returned nonpositive")
 	}
-	if o.SparcFormat() == nil {
-		t.Error("SparcFormat nil")
-	}
 }
 
 func TestMeasureReturnsPositive(t *testing.T) {
@@ -125,16 +122,19 @@ func TestHeteroExtFixture(t *testing.T) {
 	}
 }
 
-// TestFiguresShape runs every figure at tiny scale via the real entry
-// points and sanity-checks structure, not absolute numbers.  This keeps
-// the harness from rotting even though full runs happen via wireperf.
+// TestFiguresShape runs every table the default wireperf run prints via
+// the real entry points and sanity-checks structure, not numbers: the
+// claims table's orderings are timing verdicts, so whether they held is
+// wireperf's exit status, not this test's.
 func TestFiguresShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure regeneration is slow; run without -short")
 	}
 	figs := map[string]func() *Table{
 		"fig1": Fig1, "fig2": Fig2, "fig3": Fig3, "fig4": Fig4,
-		"fig5": Fig5, "fig6": Fig6, "fig7": Fig7, "claims": Claims,
+		"fig5": Fig5, "fig6": Fig6, "fig7": Fig7,
+		"homo": Homo, "wire": WireSizes, "xmlrt": XMLRoundTrip, "live": LiveRoundTrip,
+		"claims": func() *Table { tab, _ := Claims(); return tab },
 	}
 	for name, fn := range figs {
 		name, fn := name, fn
@@ -147,6 +147,11 @@ func TestFiguresShape(t *testing.T) {
 				if len(row) != len(tab.Header) {
 					t.Errorf("%s row %d has %d cells, header has %d",
 						name, i, len(row), len(tab.Header))
+				}
+				for _, cell := range row {
+					if strings.HasPrefix(cell, "error:") {
+						t.Errorf("%s row %d: %s", name, i, cell)
+					}
 				}
 			}
 		})

@@ -15,42 +15,9 @@ import (
 	"repro/internal/xmlwire"
 )
 
-// Extension experiments beyond the paper's figures.
-
-// GenCost regenerates the dynamic-code-generation amortization argument
-// (paper §3, citing [6]): the one-time cost of generating a conversion
-// routine against the per-record saving it buys, and the break-even
-// record count.
-func GenCost() *Table {
-	t := &Table{
-		Title:  "Extension: conversion-routine generation cost vs per-record saving",
-		Note:   "break-even = generation cost / (interpreted - generated per-record time)",
-		Header: []string{"size", "plan+compile", "interp/rec", "DCG/rec", "saving/rec", "break-even"},
-	}
-	for _, s := range Sizes() {
-		p := MustPair(s, MixedSchema)
-		gen := Measure(func() {
-			plan, err := convert.NewPlan(p.X86Fmt, p.SparcFmt)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := dcg.Compile(plan); err != nil {
-				panic(err)
-			}
-		})
-		o := MustOps(p)
-		interp := Measure(o.PBIOInterpDecode())
-		gend := Measure(o.PBIODCGDecode())
-		saving := interp - gend
-		breakEven := "n/a"
-		if saving > 0 {
-			breakEven = fmt.Sprintf("%.1f recs", float64(gen)/float64(saving))
-		}
-		t.AddRow(s.Label, FmtDuration(gen), FmtDuration(interp), FmtDuration(gend),
-			FmtDuration(saving), breakEven)
-	}
-	return t
-}
+// Tables for questions the paper's text asks and no figure answers.
+// wireperf prints them after the figures; every other extension question
+// has a benchmark row or a testing.B of its own.
 
 // Homo quantifies the paper's §4.3 parenthetical: "On an exchange
 // between homogeneous architectures, PBIO and MPI would have
@@ -69,7 +36,7 @@ func Homo() *Table {
 
 		// XML image and decoder.
 		xe := xmlwireEncoder(src)
-		xdec := xmlwireDecoder(f)
+		xdec := xmlwire.NewDecoder(f)
 		xmlT := Measure(func() {
 			if _, err := xdec.DecodeRecord(xe); err != nil {
 				panic(err)
@@ -153,7 +120,7 @@ func XMLRoundTrip() *Table {
 		}
 	}
 	big := measured[len(measured)-1]
-	cpuS, cpuX := CalibrateCPUsFrom(big.mEncS, big.mEncX)
+	cpuS, cpuX := CalibrateCPUs(big.mEncS, big.mEncX)
 	for i, o := range ops {
 		m := measured[i]
 		xN := o.XMLWireSize()
@@ -176,57 +143,6 @@ func XMLRoundTrip() *Table {
 			FmtDuration(xrt.Legs[4].Time), FmtDuration(xrt.Legs[5].Time),
 			FmtDuration(xrt.Total()),
 			fmt.Sprintf("%.0f%%", 100*float64(xrt.Total())/float64(prt.Total())))
-	}
-	return t
-}
-
-// Pairs measures generated-conversion decode cost across representative
-// architecture pairs at the 10Kb size, classifying what each pair's
-// conversion actually does.
-func Pairs() *Table {
-	t := &Table{
-		Title:  "Extension: generated conversion across architecture pairs (10Kb record)",
-		Note:   "noop = identical layouts (zero work); others per the dominant operation",
-		Header: []string{"wire arch", "native arch", "work", "time", "GB/s"},
-	}
-	pairs := []struct {
-		from, to abi.Arch
-		work     string
-	}{
-		{abi.X86, abi.X86, "noop (same machine)"},
-		{abi.SparcV8, abi.MIPSo32, "noop (same layout rules)"},
-		{abi.SparcV8, abi.PPC32, "noop (same layout rules)"},
-		{abi.Alpha, abi.X86x64, "noop (same layout rules)"},
-		{abi.SparcV8, abi.X86, "swap + move"},
-		{abi.X86, abi.SparcV8, "swap + move"},
-		{abi.SparcV9x64, abi.X86, "swap + move + narrow"},
-		{abi.X86, abi.MIPSn64, "swap + move + widen"},
-		{abi.PPC64, abi.SparcV8, "move + narrow (both BE)"},
-	}
-	s := Sizes()[2] // 10Kb
-	for _, pr := range pairs {
-		pr := pr
-		wf := wire.MustLayout(MixedSchema(s.N), &pr.from)
-		nf := wire.MustLayout(MixedSchema(s.N), &pr.to)
-		plan, err := convert.NewPlan(wf, nf)
-		if err != nil {
-			panic(err)
-		}
-		prog, err := dcg.Compile(plan)
-		if err != nil {
-			panic(err)
-		}
-		src := native.New(wf)
-		native.FillDeterministic(src, 1)
-		dst := native.New(nf)
-		d := Measure(func() {
-			if err := prog.Convert(dst.Buf, src.Buf); err != nil {
-				panic(err)
-			}
-		})
-		gbps := float64(nf.Size) / d.Seconds() / 1e9
-		t.AddRow(pr.from.Name, pr.to.Name, pr.work, FmtDuration(d),
-			fmt.Sprintf("%.1f", gbps))
 	}
 	return t
 }
@@ -262,100 +178,4 @@ func xmlwireEncoder(rec *native.Record) []byte {
 		panic(err)
 	}
 	return append([]byte(nil), e.Bytes()...)
-}
-
-// xmlwireDecoder returns a reusable decoder for the format.
-func xmlwireDecoder(f *wire.Format) *xmlwire.Decoder {
-	return xmlwire.NewDecoder(f)
-}
-
-// nestedSchema builds an array-of-structures workload (n particles).
-func nestedSchema(n int) *wire.Schema {
-	return &wire.Schema{
-		Name: "particles",
-		Fields: []wire.FieldSpec{
-			{Name: "step", Type: abi.Int, Count: 1},
-			{Name: "p", Count: n, Sub: &wire.Schema{
-				Name: "particle",
-				Fields: []wire.FieldSpec{
-					{Name: "id", Type: abi.Int, Count: 1},
-					{Name: "pos", Count: 1, Sub: &wire.Schema{
-						Name: "vec3",
-						Fields: []wire.FieldSpec{
-							{Name: "x", Type: abi.Double, Count: 1},
-							{Name: "y", Type: abi.Double, Count: 1},
-							{Name: "z", Type: abi.Double, Count: 1},
-						},
-					}},
-					{Name: "charge", Type: abi.Float, Count: 1},
-				},
-			}},
-		},
-	}
-}
-
-// Nested measures heterogeneous decode costs for array-of-structures
-// records (nested subtypes, converted via generated subroutines) against
-// flat records of the same byte volume — quantifying the cost of the
-// paper's "complex subtypes" support.
-func Nested() *Table {
-	t := &Table{
-		Title:  "Extension: nested (array-of-structs) vs flat records, heterogeneous decode",
-		Note:   "sparc-v8 wire -> x86 native; same data volume per row",
-		Header: []string{"particles", "bytes", "interp-AoS", "DCG-AoS", "DCG-flat", "AoS/flat"},
-	}
-	for _, n := range []int{10, 100, 1000} {
-		wf := wire.MustLayout(nestedSchema(n), &abi.SparcV8)
-		nf := wire.MustLayout(nestedSchema(n), &abi.X86)
-		plan, err := convert.NewPlan(wf, nf)
-		if err != nil {
-			panic(err)
-		}
-		prog, err := dcg.Compile(plan)
-		if err != nil {
-			panic(err)
-		}
-		src := native.New(wf)
-		native.FillDeterministic(src, int64(n))
-		dst := native.New(nf)
-		interpT := Measure(func() {
-			if err := convert.NewInterp(plan).Convert(dst.Buf, src.Buf); err != nil {
-				panic(err)
-			}
-		})
-		dcgT := Measure(func() {
-			if err := prog.Convert(dst.Buf, src.Buf); err != nil {
-				panic(err)
-			}
-		})
-
-		// Flat record of roughly the same byte volume: the mixed schema
-		// scaled to match.
-		flatN := (wf.Size - 48) / 8
-		if flatN < 1 {
-			flatN = 1
-		}
-		fwf := wire.MustLayout(MixedSchema(flatN), &abi.SparcV8)
-		fnf := wire.MustLayout(MixedSchema(flatN), &abi.X86)
-		fplan, err := convert.NewPlan(fwf, fnf)
-		if err != nil {
-			panic(err)
-		}
-		fprog, err := dcg.Compile(fplan)
-		if err != nil {
-			panic(err)
-		}
-		fsrc := native.New(fwf)
-		native.FillDeterministic(fsrc, int64(n))
-		fdst := native.New(fnf)
-		flatT := Measure(func() {
-			if err := fprog.Convert(fdst.Buf, fsrc.Buf); err != nil {
-				panic(err)
-			}
-		})
-		t.AddRow(fmt.Sprint(n), fmt.Sprint(wf.Size),
-			FmtDuration(interpT), FmtDuration(dcgT), FmtDuration(flatT),
-			fmt.Sprintf("%.1fx", float64(dcgT)/float64(flatT)))
-	}
-	return t
 }

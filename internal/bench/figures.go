@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/netsim"
@@ -29,16 +30,10 @@ func allOps() []*Ops {
 // which Figure 1 reports as 13.31 ms on the Sun Ultra 30 and 8.95 ms on
 // the Pentium II.  Every other scaled leg is then a *prediction* of the
 // model, not a fit — EXPERIMENTS.md compares those predictions against
-// the paper's remaining measurements.
-func CalibrateCPUs(big *Ops) (sparc, x86 netsim.CPU) {
-	return CalibrateCPUsFrom(Measure(big.MPIEncode()), Measure(big.MPIEncodeX86()))
-}
-
-// CalibrateCPUsFrom builds the era-machine models from already-measured
-// 100 Kb MPICH encode legs, so a figure can anchor the scale on the very
-// measurements it reports (avoiding run-to-run drift between calibration
-// and measurement).
-func CalibrateCPUsFrom(encSparc100k, encX86100k time.Duration) (sparc, x86 netsim.CPU) {
+// the paper's remaining measurements.  A figure passes the legs it has
+// just measured, so the scale is anchored on the very measurements it
+// reports (no run-to-run drift between calibration and measurement).
+func CalibrateCPUs(encSparc100k, encX86100k time.Duration) (sparc, x86 netsim.CPU) {
 	sparc = netsim.CPU{Name: "ultra30-247MHz", Scale: float64(13310*time.Microsecond) / float64(encSparc100k)}
 	x86 = netsim.CPU{Name: "pii-450MHz", Scale: float64(8950*time.Microsecond) / float64(encX86100k)}
 	return sparc, x86
@@ -67,7 +62,7 @@ func Fig1() *Table {
 		}
 	}
 	big := measured[len(measured)-1]
-	cpuS, cpuX := CalibrateCPUsFrom(big.encS, big.encX)
+	cpuS, cpuX := CalibrateCPUs(big.encS, big.encX)
 	for i, o := range ops {
 		m := measured[i]
 		n := o.MPIPackedSize()
@@ -161,7 +156,7 @@ func Fig5() *Table {
 		}
 	}
 	big := measured[len(measured)-1]
-	cpuS, cpuX := CalibrateCPUsFrom(big.mEncS, big.mEncX)
+	cpuS, cpuX := CalibrateCPUs(big.mEncS, big.mEncX)
 	for i, o := range ops {
 		m := measured[i]
 		mN := o.MPIPackedSize()
@@ -229,42 +224,99 @@ func Fig7() *Table {
 	return t
 }
 
-// Claims computes the paper's headline numbers: sender encode improvement
-// (up to 3 orders of magnitude), receiver decode improvement (~1 order),
-// and the roundtrip ratio (45% of MPICH at 100Kb).
-func Claims() *Table {
-	t := &Table{
-		Title:  "Headline claims (paper section 1 / 5)",
-		Header: []string{"claim", "paper", "measured"},
-	}
+// Claims computes the paper's headline numbers — sender encode
+// improvement (up to 3 orders of magnitude), receiver decode improvement
+// (~1 order), the roundtrip ratio (45% of MPICH at 100Kb) — and checks
+// the orderings Figures 2-7 rest on, each a ratio of two measured legs
+// against the bound it must meet.  The error names every ordering that
+// did not hold; wireperf exits non-zero on it.
+func Claims() (*Table, error) {
+	c := &claims{Table: &Table{
+		Title:  "Headline claims (paper section 1 / 5) and the figures' orderings",
+		Note:   "headline rows are reported; an ordering row that does not hold fails wireperf",
+		Header: []string{"claim", "paper", "measured", "verdict"},
+	}}
 	ops := allOps()
-	big := ops[len(ops)-1] // 100Kb
+	small, big := ops[0], ops[len(ops)-1] // 100b, 100Kb
 
 	encMPI := Measure(big.MPIEncode())
 	encPBIO := Measure(big.PBIOEncode())
-	t.AddRow("sender encode speedup (100Kb, MPICH/PBIO)",
-		"up to ~1000x", fmt.Sprintf("%.0fx", float64(encMPI)/float64(encPBIO)))
+	c.AddRow("sender encode speedup (100Kb, MPICH/PBIO)",
+		"up to ~1000x", fmt.Sprintf("%.0fx", float64(encMPI)/float64(encPBIO)), "")
 
 	decMPI := Measure(big.MPIDecode())
 	decPBIO := Measure(big.PBIODCGDecode())
-	t.AddRow("receiver decode speedup (100Kb, MPICH/PBIO-DCG)",
-		"~10x", fmt.Sprintf("%.1fx", float64(decMPI)/float64(decPBIO)))
+	c.AddRow("receiver decode speedup (100Kb, MPICH/PBIO-DCG)",
+		"~10x", fmt.Sprintf("%.1fx", float64(decMPI)/float64(decPBIO)), "")
 
-	cpuS, cpuX := CalibrateCPUs(big)
+	encMPIX86 := Measure(big.MPIEncodeX86())
+	cpuS, cpuX := CalibrateCPUs(encMPI, encMPIX86)
 	mrt := netsim.NewRoundTrip(linkModel, cpuS.Time(encMPI), cpuX.Time(Measure(big.MPIDecodeX86())),
-		cpuX.Time(Measure(big.MPIEncodeX86())), cpuS.Time(decMPI),
+		cpuX.Time(encMPIX86), cpuS.Time(decMPI),
 		big.MPIPackedSize(), big.MPIPackedSize())
 	prt := netsim.NewRoundTrip(linkModel, cpuS.Time(encPBIO), cpuX.Time(Measure(big.PBIODCGDecodeX86())),
 		cpuS.Time(encPBIO), cpuS.Time(decPBIO), big.PBIOWireSize(), big.PBIOWireSize())
-	t.AddRow("roundtrip time vs MPICH (100Kb)",
-		"45%", fmt.Sprintf("%.0f%%", 100*float64(prt.Total())/float64(mrt.Total())))
+	c.AddRow("roundtrip time vs MPICH (100Kb)",
+		"45%", fmt.Sprintf("%.0f%%", 100*float64(prt.Total())/float64(mrt.Total())), "")
 
 	xmlEnc := Measure(big.XMLEncode())
-	t.AddRow("XML encode vs PBIO encode (100Kb)",
-		">1000x", fmt.Sprintf("%.0fx", float64(xmlEnc)/float64(encPBIO)))
+	c.AddRow("XML encode vs PBIO encode (100Kb)",
+		">1000x", fmt.Sprintf("%.0fx", float64(xmlEnc)/float64(encPBIO)), "")
 
-	xmlWire := big.XMLWireSize()
-	t.AddRow("XML wire expansion vs binary",
-		"6-8x", fmt.Sprintf("%.1fx", float64(xmlWire)/float64(big.Pair.X86Fmt.Size)))
-	return t
+	c.AddRow("XML wire expansion vs binary",
+		"6-8x", fmt.Sprintf("%.1fx", float64(big.XMLWireSize())/float64(big.Pair.X86Fmt.Size)), "")
+
+	// Figure 2: PBIO's sender cost is flat in record size, MPICH's
+	// linear; at 100Kb XML >> {MPICH, CORBA} >> PBIO.
+	c.order("PBIO encode, 100Kb / 100b", encPBIO, Measure(small.PBIOEncode()), "<=", 10)
+	c.order("MPICH encode, 100Kb / 100b", encMPI, Measure(small.MPIEncode()), ">=", 100)
+	encCORBA := Measure(big.CORBAEncode())
+	c.order("XML / MPICH encode (100Kb)", xmlEnc, encMPI, ">=", 3)
+	c.order("XML / CORBA encode (100Kb)", xmlEnc, encCORBA, ">=", 3)
+	c.order("MPICH / PBIO encode (100Kb)", encMPI, encPBIO, ">=", 100)
+	c.order("CORBA / PBIO encode (100Kb)", encCORBA, encPBIO, ">=", 100)
+
+	// Figures 3 and 4 at 100Kb: XML >> MPICH >= PBIO-interp > PBIO-DCG.
+	interp := Measure(big.PBIOInterpDecode())
+	c.order("XML / MPICH decode (100Kb)", Measure(big.XMLDecode()), decMPI, ">=", 3)
+	c.order("PBIO-interp / MPICH decode (100Kb)", interp, decMPI, "<=", 1.2)
+	c.order("PBIO-DCG / PBIO-interp decode (100Kb)", decPBIO, interp, "<=", 0.5)
+
+	// Figure 6: an unexpected field costs a heterogeneous receive
+	// (almost) nothing.  Figure 7: a matched homogeneous receive does no
+	// per-byte work, far below the mismatched relocation.
+	ext := NewHeteroExt(big.Pair.Size)
+	c.order("unexpected / matched field, hetero receive (100Kb)",
+		Measure(ext.HeteroMismatchedDecode()), decPBIO, "<=", 1.4)
+	homo := Measure(big.PBIOHomogeneousDecode())
+	c.order("matched homogeneous receive, 100Kb / 100b", homo, Measure(small.PBIOHomogeneousDecode()), "<=", 10)
+	c.order("matched / mismatched homogeneous receive (100Kb)", homo, Measure(ext.HomoMismatchedDecode()), "<=", 0.1)
+
+	if len(c.violated) > 0 {
+		return c.Table, fmt.Errorf("%d ordering(s) violated: %s", len(c.violated), strings.Join(c.violated, "; "))
+	}
+	return c.Table, nil
+}
+
+// claims is the Claims table under construction and the orderings it
+// found violated.
+type claims struct {
+	*Table
+	violated []string
+}
+
+// order adds an ordering row: it holds when a/b rel bound, where rel is
+// "<=" or ">=".
+func (c *claims) order(claim string, a, b time.Duration, rel string, bound float64) {
+	r := float64(a) / float64(b)
+	holds := r <= bound
+	if rel == ">=" {
+		holds = r >= bound
+	}
+	verdict := "holds"
+	if !holds {
+		verdict = "VIOLATED"
+		c.violated = append(c.violated, claim)
+	}
+	c.AddRow(claim, fmt.Sprintf("%s %gx", rel, bound), fmt.Sprintf("%.2fx", r), verdict)
 }

@@ -140,7 +140,7 @@ func livePBIO(s Size) (time.Duration, error) {
 				}
 				// Convert to the local layout (generated routine), then
 				// echo the local record back in NDR.
-				if err := o.progXConvert(dst.Buf, m.Data); err != nil {
+				if err := o.progX.Convert(dst.Buf, m.Data); err != nil {
 					return err
 				}
 				if err := w.WriteRecord(x86F, dst.Buf); err != nil {
@@ -171,7 +171,7 @@ func livePBIO(s Size) (time.Duration, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := o.progSConvert(dst.Buf, m.Data); err != nil {
+		if err := o.progS.Convert(dst.Buf, m.Data); err != nil {
 			return 0, err
 		}
 	}
@@ -181,8 +181,3 @@ func livePBIO(s Size) (time.Duration, error) {
 	}
 	return elapsed, nil
 }
-
-// progSConvert and progXConvert expose the prebuilt conversion programs
-// for the live harness.
-func (o *Ops) progSConvert(dst, src []byte) error { return o.progS.Convert(dst, src) }
-func (o *Ops) progXConvert(dst, src []byte) error { return o.progX.Convert(dst, src) }

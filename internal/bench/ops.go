@@ -10,7 +10,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/native"
 	"repro/internal/transport"
-	"repro/internal/wire"
 	"repro/internal/xmlwire"
 )
 
@@ -276,6 +275,3 @@ func (o *Ops) XMLWireSize() int { return len(o.xmlFromX86) }
 
 // CDRWireSize returns the CDR body size.
 func (o *Ops) CDRWireSize() int { return len(o.cdrFromX86) }
-
-// SparcFormat exposes the writer-side format (for dumps).
-func (o *Ops) SparcFormat() *wire.Format { return o.Pair.SparcFmt }

@@ -76,13 +76,14 @@ func Put(b []byte) {
 		return
 	}
 	if classBytes(cls) > cap(c) {
-		// Capacity sits between classes; recycle into the class below so
-		// a future Get never receives less capacity than its class
-		// promises.
+		// Capacity sits between classes; recycle into the class below,
+		// trimmed to that class's capacity, so a future Get receives
+		// exactly the capacity its class promises.
 		cls--
 		if cls < 0 {
 			return
 		}
+		c = c[:classBytes(cls):classBytes(cls)]
 	}
 	poolPut(cls, c)
 }

@@ -51,12 +51,13 @@ func TestOversizeNeverPooled(t *testing.T) {
 
 func TestPutBetweenClassesRecyclesDown(t *testing.T) {
 	// A buffer whose capacity sits between classes (e.g. grown by append)
-	// recycles into the class below, so Get never under-delivers.
+	// recycles into the class below, trimmed to it, so Get delivers
+	// exactly its class's capacity.
 	odd := make([]byte, 100, 100) // 100 < 128: belongs to class 64
 	Put(odd)
 	b := Get(64)
-	if cap(b) < 64 {
-		t.Errorf("Get(64) after odd-capacity Put: cap %d", cap(b))
+	if cap(b) != 64 {
+		t.Errorf("Get(64) after odd-capacity Put: cap %d, want 64", cap(b))
 	}
 	Put(b)
 }

@@ -2,6 +2,7 @@ package dcg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -368,18 +369,49 @@ func TestCompileBatchRecordShuffle(t *testing.T) {
 }
 
 // TestConvertBatchAllocs pins the engine itself at zero allocations per
-// call (the pbio-level pins cover the full decode paths).
+// call (the pbio-level pins cover the full decode paths) on every pair,
+// regime and batch size the benchmarks in bench_test.go time, and
+// Compile at the exact count of the program it builds.
 func TestConvertBatchAllocs(t *testing.T) {
-	bp := compileFor(t, &abi.SparcV8, &abi.X86)
-	wf, nf := bp.Plan().Wire, bp.Plan().Native
-	src := fillBatch(wf, 64)
-	dst := make([]byte, 64*nf.Size)
-	got := testing.AllocsPerRun(100, func() {
-		if _, err := bp.ConvertBatch(dst, src); err != nil {
-			t.Fatal(err)
+	pin := func(name string, want float64, fn func() error) {
+		t.Helper()
+		if got := testing.AllocsPerRun(100, func() {
+			if err := fn(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}); got != want {
+			t.Errorf("%s allocates %v per call, want %v", name, got, want)
 		}
-	})
-	if got > 0 {
-		t.Errorf("ConvertBatch allocates %.1f per batch, want 0", got)
+	}
+	batch := func(prog *Program, n int) func() error {
+		src := fillBatch(prog.Plan().Wire, n)
+		dst := make([]byte, n*prog.Plan().Native.Size)
+		return func() error { _, err := prog.ConvertBatch(dst, src); return err }
+	}
+	record := func(prog *Program) func() error {
+		src := fillBatch(prog.Plan().Wire, 1)
+		dst := make([]byte, prog.Plan().Native.Size)
+		return func() error { return prog.Convert(dst, src) }
+	}
+
+	pin("ConvertBatch/mixedSchema/sparc-to-x86/batch=64", 0, batch(compileFor(t, &abi.SparcV8, &abi.X86), 64))
+
+	plan, err := convert.NewPlan(wire.MustLayout(benchSchema(), &abi.SparcV8), wire.MustLayout(benchSchema(), &abi.X86))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin("Compile", 10, func() error { _, err := Compile(plan); return err })
+
+	for _, pr := range convertPairs {
+		prog := compileSchemas(t, benchSchema(), &pr.from, benchSchema(), &pr.to)
+		pin("ConvertPairs/"+pr.name, 0, record(prog))
+	}
+	pin("ConvertNested", 0, record(compileSchemas(t, particleSchema(250), &abi.SparcV8, particleSchema(250), &abi.X86)))
+	for _, pr := range batchRegimes {
+		prog := compileSchemas(t, batchBenchSchema(), &pr.from, batchBenchSchema(), &pr.to)
+		pin("ConvertBatch/"+pr.name+"/perRecord", 0, record(prog))
+		for _, n := range batchBenchSizes {
+			pin(fmt.Sprintf("ConvertBatch/%s/batch=%d", pr.name, n), 0, batch(prog, n))
+		}
 	}
 }

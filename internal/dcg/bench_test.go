@@ -32,21 +32,39 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkConvertPairs measures the generated conversion across
-// representative architecture pairs: swap-dominated, move-dominated,
-// size-converting, and no-op.
-func BenchmarkConvertPairs(b *testing.B) {
-	pairs := []struct {
-		name     string
-		from, to abi.Arch
-	}{
-		{"swap/sparc-to-x86", abi.SparcV8, abi.X86},
-		{"move-only/sparc-to-mips", abi.SparcV8, abi.MIPSo32}, // same order+layout: noop
-		{"resize/sparcv9-64-to-x86", abi.SparcV9x64, abi.X86},
-		{"swap+widen/x86-to-mips-n64", abi.X86, abi.MIPSn64},
-		{"noop/x86-to-x86", abi.X86, abi.X86},
+// archPair is one (wire, native) architecture pair of a benchmark
+// table; TestConvertBatchAllocs pins every pair the benchmarks time.
+type archPair struct {
+	name     string
+	from, to abi.Arch
+}
+
+// convertPairs are BenchmarkConvertPairs' representative architecture
+// pairs: swap-dominated, move-dominated, size-converting, and no-op.
+var convertPairs = []archPair{
+	{"swap/sparc-to-x86", abi.SparcV8, abi.X86},
+	{"move-only/sparc-to-mips", abi.SparcV8, abi.MIPSo32}, // same order+layout: noop
+	{"resize/sparcv9-64-to-x86", abi.SparcV9x64, abi.X86},
+	{"swap+widen/x86-to-mips-n64", abi.X86, abi.MIPSn64},
+	{"noop/x86-to-x86", abi.X86, abi.X86},
+}
+
+// batchRegimes and batchBenchSizes are BenchmarkConvertBatch's
+// conversion matrix (same-layout bulk copy, swap-dominated, mixed
+// move+swap) and batch sizes.
+var (
+	batchRegimes = []archPair{
+		{"same-layout/x86-64-to-x86-64", abi.X86x64, abi.X86x64},
+		{"swap-only/sparc-to-x86-64", abi.SparcV8, abi.X86x64},
+		{"mixed/sparcv9-64-to-x86", abi.SparcV9x64, abi.X86},
 	}
-	for _, pr := range pairs {
+	batchBenchSizes = []int{1, 8, 64, 1024}
+)
+
+// BenchmarkConvertPairs measures the generated conversion across
+// convertPairs.
+func BenchmarkConvertPairs(b *testing.B) {
+	for _, pr := range convertPairs {
 		pr := pr
 		b.Run(pr.name, func(b *testing.B) {
 			wf := wire.MustLayout(benchSchema(), &pr.from)
@@ -86,23 +104,13 @@ func batchBenchSchema() *wire.Schema {
 	}
 }
 
-// BenchmarkConvertBatch measures the compiled engine across the
-// conversion matrix (same-layout bulk copy, swap-dominated, mixed
-// move+swap) and batch sizes.  The loop advances b.N by the batch size,
-// so ns/op reads directly as ns/record; perRecord (the Convert entry)
-// and batch=1 (ConvertBatch on one record) are the same kernels and the
-// dispatch-overhead baseline the larger batches amortize away.
+// BenchmarkConvertBatch measures the compiled engine across
+// batchRegimes and batchBenchSizes.  The loop advances b.N by the batch
+// size, so ns/op reads directly as ns/record; perRecord (the Convert
+// entry) and batch=1 (ConvertBatch on one record) are the same kernels
+// and the dispatch-overhead baseline the larger batches amortize away.
 func BenchmarkConvertBatch(b *testing.B) {
-	pairs := []struct {
-		name     string
-		from, to abi.Arch
-	}{
-		{"same-layout/x86-64-to-x86-64", abi.X86x64, abi.X86x64},
-		{"swap-only/sparc-to-x86-64", abi.SparcV8, abi.X86x64},
-		{"mixed/sparcv9-64-to-x86", abi.SparcV9x64, abi.X86},
-	}
-	sizes := []int{1, 8, 64, 1024}
-	for _, pr := range pairs {
+	for _, pr := range batchRegimes {
 		pr := pr
 		wf := wire.MustLayout(batchBenchSchema(), &pr.from)
 		nf := wire.MustLayout(batchBenchSchema(), &pr.to)
@@ -126,15 +134,10 @@ func BenchmarkConvertBatch(b *testing.B) {
 				}
 			}
 		})
-		for _, n := range sizes {
+		for _, n := range batchBenchSizes {
 			n := n
 			b.Run(fmt.Sprintf("%s/batch=%d", pr.name, n), func(b *testing.B) {
-				src := make([]byte, n*wf.Size)
-				for i := 0; i < n; i++ {
-					rec := native.New(wf)
-					native.FillDeterministic(rec, int64(i))
-					copy(src[i*wf.Size:], rec.Buf)
-				}
+				src := fillBatch(wf, n)
 				dst := make([]byte, n*nf.Size)
 				b.SetBytes(int64(nf.Size))
 				b.ResetTimer()

@@ -186,6 +186,9 @@ func traceExchange(t *testing.T, s *Server, prodAddr, consAddr string, stream []
 	}
 	reader := rctx.NewReader(cconn)
 	reader.SetTimeout(2 * time.Second)
+	// A live broadcast reaches only registered consumers: on a loaded box
+	// the whole stream can pass the relay before it has accepted ours.
+	waitFor(t, "the relay to register the consumer", func() bool { return s.Consumers() == 1 })
 
 	pconn, err := net.Dial("tcp", prodAddr)
 	if err != nil {

@@ -508,8 +508,9 @@ type MetricSnapshot struct {
 	Series []SeriesSnapshot `json:"series"`
 }
 
-// Snapshot captures every family for programmatic consumption (the JSON
-// exporter and cmd/wireperf's conversion-path report are built on it).
+// Snapshot captures every family for programmatic consumption (the
+// text exporter and the pbio tests' conversion-path readbacks are built
+// on it).
 // Families appear in registration order, series sorted by label values.
 func (r *Registry) Snapshot() []MetricSnapshot {
 	if r == nil {

@@ -258,17 +258,41 @@ func TestCursorFirstUseConcurrent(t *testing.T) {
 	}
 }
 
-// TestCursorAllocs: the table is the only allocation, made once.
+// TestCursorAllocs pins the exact allocations of every format-level
+// operation BenchmarkLayout … BenchmarkFieldLookup time: lookups on a
+// built cursor table (the table is the only allocation, made once),
+// appending meta to a grown buffer and fingerprinting make none; laying
+// out, decoding meta and matching allocate the formats and tables they
+// return.
 func TestCursorAllocs(t *testing.T) {
-	f := MustLayout(testSchema(), &abi.SparcV8)
+	schema := testSchema()
+	f := MustLayout(schema, &abi.SparcV8)
+	x86 := MustLayout(schema, &abi.X86)
 	last := f.Fields[len(f.Fields)-1].Name
 	f.Cursor(last)
-	if n := testing.AllocsPerRun(100, func() {
-		if f.Cursor(last) == nil || f.Cursor("absent") != nil || f.FieldByName(last) == nil {
-			t.Fatal("wrong answer")
+	meta := EncodeMeta(f)
+	buf := make([]byte, 0, 512)
+	for _, c := range []struct {
+		name string
+		want float64
+		run  func() bool
+	}{
+		{"lookup", 0, func() bool {
+			return f.Cursor(last) != nil && f.Cursor("absent") == nil && f.FieldByName(last) != nil
+		}},
+		{"Layout", 2, func() bool { _, err := Layout(schema, &abi.SparcV8); return err == nil }},
+		{"EncodeMeta", 0, func() bool { buf = AppendMeta(buf[:0], f); return len(buf) == len(meta) }},
+		{"DecodeMeta", 14, func() bool { _, _, err := DecodeMeta(meta); return err == nil }},
+		{"Match", 2, func() bool { return Match(f, x86).Exact() }},
+		{"Fingerprint", 0, func() bool { return f.Fingerprint() != "" }},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if !c.run() {
+				t.Fatalf("%s: wrong answer", c.name)
+			}
+		}); n != c.want {
+			t.Errorf("%s allocates %v times per run, want %v", c.name, n, c.want)
 		}
-	}); n != 0 {
-		t.Errorf("lookups on a built table allocate %v times per run", n)
 	}
 }
 

@@ -182,46 +182,70 @@ func TestAllocsHomogeneousView(t *testing.T) {
 	}
 }
 
-// TestAllocsBatchedView pins what an application consuming homogeneous
-// batch frames writes — Read + View per record — at zero allocations.
-// One measured run is a whole pass over the stream (the meta frame again,
+// TestAllocsBatchedView pins what an application consuming batch frames
+// one record at a time writes — Read + View on a homogeneous stream, Read
+// + DecodeInto on a heterogeneous one — at zero allocations.  One
+// measured run is a whole pass over the stream (the meta frame again,
 // then four 64-record batch frames), so a single allocation anywhere in
 // it, frame boundaries included, fails the pin.
 func TestAllocsBatchedView(t *testing.T) {
-	ctx := ctxFor(t, "x86-64")
-	f, err := ctx.Register("tick", benchTickFields()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const frames, batch = 4, 64
-	recs := make([]*Record, batch)
-	for i := range recs {
-		recs[i] = f.NewRecord()
-	}
-	var stream bytes.Buffer
-	w := ctx.NewWriter(&stream)
-	for i := 0; i < frames; i++ {
-		if err := w.WriteBatch(recs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	r := ctx.NewReader(&streamReader{raw: stream.Bytes()})
-	defer r.Close()
-	pass := func() {
-		for i := 0; i < frames*batch; i++ {
-			m, err := r.Read()
+	for _, c := range []struct {
+		name, sender string
+		consume      func(m *Message, f *Format, out *Record) error
+	}{
+		{"view", "x86-64", func(m *Message, f *Format, _ *Record) error {
+			if _, ok, err := m.View(f); err != nil || !ok {
+				return fmt.Errorf("View: %v %v", ok, err)
+			}
+			return nil
+		}},
+		{"decode", "sparc-v8", func(m *Message, f *Format, out *Record) error {
+			return m.DecodeInto(f, out)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sctx := ctxFor(t, c.sender)
+			sf, err := sctx.Register("tick", benchTickFields()...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok, err := m.View(f); err != nil || !ok {
-				t.Fatalf("View: %v %v", ok, err)
+			const frames, batch = 4, 64
+			recs := make([]*Record, batch)
+			for i := range recs {
+				recs[i] = sf.NewRecord()
 			}
-		}
-	}
-	pass() // warm-up: receive buffer growth, first meta decode, layout verdict
-	if got := testing.AllocsPerRun(20, pass); got > 0 {
-		t.Errorf("batched Read+View costs %.0f allocs per %d records, want 0", got, frames*batch)
+			var stream bytes.Buffer
+			w := sctx.NewWriter(&stream)
+			for i := 0; i < frames; i++ {
+				if err := w.WriteBatch(recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			rctx := ctxFor(t, "x86-64")
+			f, err := rctx.Register("tick", benchTickFields()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := f.NewRecord()
+			r := rctx.NewReader(&streamReader{raw: stream.Bytes()})
+			defer r.Close()
+			pass := func() {
+				for i := 0; i < frames*batch; i++ {
+					m, err := r.Read()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := c.consume(m, f, out); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pass() // warm-up: receive buffer growth, first meta decode, layout verdict or program
+			if got := testing.AllocsPerRun(20, pass); got > 0 {
+				t.Errorf("batched Read+%s costs %.0f allocs per %d records, want 0", c.name, got, frames*batch)
+			}
+		})
 	}
 }
 

@@ -32,96 +32,6 @@ func BenchmarkWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkReadDecode measures the full receive path: framing, meta
-// lookup, generated conversion into an owned record.
-//
-// Every iteration is a cold start — a fresh Reader, bytes.Reader, pooled
-// receive buffer and per-stream format table, plus the meta frame's
-// decode — and that set-up is where all of its allocs/op come from.
-// They are per stream, not per record: the steady state is pinned at 0
-// by TestAllocsDCGDecode (alloc_test.go).
-func BenchmarkReadDecode(b *testing.B) {
-	sctx, err := NewContext(WithArch("sparc-v8"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fields := []FieldSpec{F("node", Int), F("timestamp", Double), Array("values", Double, 1245)}
-	sf, err := sctx.Register("mixed", fields...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var stream bytes.Buffer
-	w := sctx.NewWriter(&stream)
-	if err := w.Write(sf.NewRecord()); err != nil {
-		b.Fatal(err)
-	}
-	raw := stream.Bytes()
-
-	rctx, err := NewContext(WithArch("x86"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rf, err := rctx.Register("mixed", fields...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := rf.NewRecord()
-	b.SetBytes(int64(rf.Size()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rctx.NewReader(bytes.NewReader(raw))
-		m, err := r.Read()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.DecodeInto(rf, out); err != nil {
-			b.Fatal(err)
-		}
-		r.Close()
-	}
-}
-
-// BenchmarkHomogeneousView measures the zero-copy receive path.
-//
-// Like BenchmarkReadDecode it opens a new stream every iteration, so its
-// allocs/op are the per-stream set-up (Reader, bytes.Reader, receive
-// buffer, format table, meta decode), not a hot-path leak: steady-state
-// Read + View is pinned at 0 by TestAllocsHomogeneousView and
-// TestAllocsBatchedView (alloc_test.go).
-func BenchmarkHomogeneousView(b *testing.B) {
-	ctx, err := NewContext(WithArch("x86"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fields := []FieldSpec{F("node", Int), Array("values", Double, 1245)}
-	f, err := ctx.Register("mixed", fields...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var stream bytes.Buffer
-	if err := ctx.NewWriter(&stream).Write(f.NewRecord()); err != nil {
-		b.Fatal(err)
-	}
-	raw := stream.Bytes()
-	b.SetBytes(int64(f.Size()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := ctx.NewReader(bytes.NewReader(raw))
-		m, err := r.Read()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec, ok, err := m.View(f)
-		if err != nil || !ok {
-			b.Fatalf("View: %v %v", ok, err)
-		}
-		_ = rec
-		r.Close()
-	}
-}
-
 // benchWriteTCP streams b.N ~100-byte records through a real loopback
 // socket with the peer draining bytes, so the measurement is the send
 // path plus actual syscalls — the cost batching exists to amortize.
